@@ -12,6 +12,7 @@ restarts are run from independent streams and the best free energy wins.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
     "free_energy",
     "fit",
 ]
+
+_log = logging.getLogger("binlbm")
 
 _CLAMP = 1e-12
 # 50 sweeps leave visibly too many single-restart chains in poor optima at
@@ -91,12 +94,12 @@ class FitResult:
 
 
 def _safe_log(p):
-    return np.log(np.clip(p, _CLAMP, None))
+    return np.log(np.maximum(p, _CLAMP))
 
 
 def _log_rate_tables(alpha):
     # clamp only inside the logs; stored rates may legitimately sit at 0 or 1
-    clipped = np.clip(alpha, _CLAMP, 1.0 - _CLAMP)
+    clipped = np.minimum(np.maximum(alpha, _CLAMP), 1.0 - _CLAMP)
     return np.log(clipped), np.log1p(-clipped)
 
 
@@ -143,12 +146,12 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
     y_not = 1.0 - y
     z = rng.integers(0, g, size=data.n)
     w = rng.integers(0, m, size=data.q)
-    pi, rho, alpha = _sample_parameters(rng, data.values, z, w, g, m, prior)
+    pi, rho, alpha = _sample_parameters(rng, y, z, w, g, m, prior)
     for _ in range(sweeps):
         log1, log0 = _log_rate_tables(alpha)
         z = _sample_labels(rng, _safe_log(pi), y @ log1[:, w].T + y_not @ log0[:, w].T)
         w = _sample_labels(rng, _safe_log(rho), y.T @ log1[z, :] + y_not.T @ log0[z, :])
-        pi, rho, alpha = _sample_parameters(rng, data.values, z, w, g, m, prior)
+        pi, rho, alpha = _sample_parameters(rng, y, z, w, g, m, prior)
     return LBMParameters(g, m, pi, rho, alpha), CoPartition(z, w, g, m)
 
 
@@ -178,6 +181,53 @@ def _beta_mode(s1, s_tot, b):
     return alpha
 
 
+def _log_tables(pi, rho, alpha):
+    # the logs one iteration reads, computed once from the previous one's output
+    return (_safe_log(pi), _safe_log(rho)) + _log_rate_tables(alpha)
+
+
+def _expected_counts(y, tau, nu):
+    """Row and column group masses, the expected ones per block ``s1`` and
+    the expected cells per block ``s_tot``."""
+    row_mass = tau.sum(axis=0)
+    col_mass = nu.sum(axis=0)
+    return row_mass, col_mass, tau.T @ y @ nu, np.outer(row_mass, col_mass)
+
+
+def _vbayes_update(y, nu, logs, prior):
+    """One variational iteration on plain arrays.
+
+    ``y`` is the float data and ``logs`` the tables of :func:`_log_tables`
+    for the incoming parameters.  Returns the updated tau, nu, pi, rho and
+    alpha, followed by the :func:`_expected_counts` of the new tau and nu,
+    which the free energy of the new state reads.
+    """
+    log_pi, log_rho, log1, log0 = logs
+    ones_by_colgroup = y @ nu
+    zeros_by_colgroup = nu.sum(axis=0)[None, :] - ones_by_colgroup
+    tau = _row_softmax(log_pi[None, :] + ones_by_colgroup @ log1.T + zeros_by_colgroup @ log0.T)
+
+    ones_by_rowgroup = y.T @ tau
+    zeros_by_rowgroup = tau.sum(axis=0)[None, :] - ones_by_rowgroup
+    nu = _row_softmax(log_rho[None, :] + ones_by_rowgroup @ log1 + zeros_by_rowgroup @ log0)
+
+    counts = _expected_counts(y, tau, nu)
+    row_mass, col_mass, s1, s_tot = counts
+    pi = _dirichlet_mode(row_mass, prior.a)
+    rho = _dirichlet_mode(col_mass, prior.a)
+    alpha = _beta_mode(s1, s_tot, prior.b)
+
+    for name, arr in (("tau", tau), ("nu", nu), ("pi", pi), ("rho", rho), ("alpha", alpha)):
+        if not np.all(np.isfinite(arr)):
+            raise NumericalError(f"non-finite values in updated {name}")
+    return (tau, nu, pi, rho, alpha) + counts
+
+
+def _check_state_shapes(data, state, params):
+    if state.tau.shape != (data.n, params.g) or state.nu.shape != (data.q, params.m):
+        raise ValidationError("variational state shapes do not match the data and parameters")
+
+
 def vbayes_step(data, state, params, prior):
     """One full variational iteration.
 
@@ -188,46 +238,40 @@ def vbayes_step(data, state, params, prior):
     decreases across a step.  Responsibilities are computed in log space with
     per-row max subtraction.
     """
-    y = data.values.astype(float)
-    y_not = 1.0 - y
-    n, q = y.shape
-    g, m = params.g, params.m
-    if state.tau.shape != (n, g) or state.nu.shape != (q, m):
-        raise ValidationError("variational state shapes do not match the data and parameters")
-    a, b = prior.a, prior.b
-    log1, log0 = _log_rate_tables(params.alpha)
-
-    ones_by_colgroup = y @ state.nu
-    zeros_by_colgroup = state.nu.sum(axis=0)[None, :] - ones_by_colgroup
-    tau = _row_softmax(_safe_log(params.pi)[None, :]
-                       + ones_by_colgroup @ log1.T + zeros_by_colgroup @ log0.T)
-
-    ones_by_rowgroup = y.T @ tau
-    zeros_by_rowgroup = tau.sum(axis=0)[None, :] - ones_by_rowgroup
-    nu = _row_softmax(_safe_log(params.rho)[None, :]
-                      + ones_by_rowgroup @ log1 + zeros_by_rowgroup @ log0)
-
-    row_mass = tau.sum(axis=0)
-    col_mass = nu.sum(axis=0)
-    pi = _dirichlet_mode(row_mass, a)
-    rho = _dirichlet_mode(col_mass, a)
-    s1 = tau.T @ y @ nu
-    alpha = _beta_mode(s1, np.outer(row_mass, col_mass), b)
-
-    for name, arr in (("tau", tau), ("nu", nu), ("pi", pi), ("rho", rho), ("alpha", alpha)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError(f"non-finite values in updated {name}")
-    return VariationalState(tau, nu), LBMParameters(g, m, pi, rho, alpha)
+    _check_state_shapes(data, state, params)
+    tau, nu, pi, rho, alpha = _vbayes_update(
+        data.values.astype(float), state.nu,
+        _log_tables(params.pi, params.rho, params.alpha), prior)[:5]
+    return VariationalState(tau, nu), LBMParameters(params.g, params.m, pi, rho, alpha)
 
 
-def _dirichlet_logpdf(p, a):
-    return float(gammaln(p.size * a) - p.size * gammaln(a) + (a - 1.0) * _safe_log(p).sum())
+def _dirichlet_logpdf(log_p, a):
+    return float(gammaln(log_p.size * a) - log_p.size * gammaln(a) + (a - 1.0) * log_p.sum())
 
 
-def _beta_logpdf_total(alpha, b):
-    clipped = np.clip(alpha, _CLAMP, 1.0 - _CLAMP)
-    return float(alpha.size * (gammaln(2.0 * b) - 2.0 * gammaln(b))
-                 + (b - 1.0) * (np.log(clipped) + np.log1p(-clipped)).sum())
+def _beta_logpdf_total(log1, log0, b):
+    return float(log1.size * (gammaln(2.0 * b) - 2.0 * gammaln(b))
+                 + (b - 1.0) * (log1 + log0).sum())
+
+
+def _free_energy_value(tau, nu, counts, logs, prior):
+    """The free energy of :func:`free_energy` from the state's
+    :func:`_expected_counts` and the parameters' :func:`_log_tables`."""
+    row_mass, col_mass, s1, s_tot = counts
+    log_pi, log_rho, log1, log0 = logs
+    value = (
+        float(row_mass @ log_pi)
+        + float(col_mass @ log_rho)
+        + float((s1 * log1 + (s_tot - s1) * log0).sum())
+        - float(xlogy(tau, tau).sum())
+        - float(xlogy(nu, nu).sum())
+        + _dirichlet_logpdf(log_pi, prior.a)
+        + _dirichlet_logpdf(log_rho, prior.a)
+        + _beta_logpdf_total(log1, log0, prior.b)
+    )
+    if not np.isfinite(value):
+        raise NumericalError("free energy evaluated to a non-finite value")
+    return value
 
 
 def free_energy(data, state, params, prior):
@@ -238,29 +282,10 @@ def free_energy(data, state, params, prior):
     every block rate.  Logs of probabilities are clamped at 1e-12 so boundary
     rates never produce non-finite output, and 0*log(0) terms are 0.
     """
-    y = data.values.astype(float)
-    g, m = params.g, params.m
-    if state.tau.shape != (data.n, g) or state.nu.shape != (data.q, m):
-        raise ValidationError("variational state shapes do not match the data and parameters")
-    a, b = prior.a, prior.b
-    log1, log0 = _log_rate_tables(params.alpha)
-    row_mass = state.tau.sum(axis=0)
-    col_mass = state.nu.sum(axis=0)
-    s1 = state.tau.T @ y @ state.nu
-    s_tot = np.outer(row_mass, col_mass)
-    value = (
-        float(row_mass @ _safe_log(params.pi))
-        + float(col_mass @ _safe_log(params.rho))
-        + float((s1 * log1 + (s_tot - s1) * log0).sum())
-        - float(xlogy(state.tau, state.tau).sum())
-        - float(xlogy(state.nu, state.nu).sum())
-        + _dirichlet_logpdf(params.pi, a)
-        + _dirichlet_logpdf(params.rho, a)
-        + _beta_logpdf_total(params.alpha, b)
-    )
-    if not np.isfinite(value):
-        raise NumericalError("free energy evaluated to a non-finite value")
-    return value
+    _check_state_shapes(data, state, params)
+    counts = _expected_counts(data.values.astype(float), state.tau, state.nu)
+    return _free_energy_value(state.tau, state.nu, counts,
+                              _log_tables(params.pi, params.rho, params.alpha), prior)
 
 
 def _one_hot(labels, width):
@@ -270,21 +295,26 @@ def _one_hot(labels, width):
 
 
 def _run_chain(data, g, m, prior, gibbs_sweeps, max_iter, tol, chain_seed):
+    # plain arrays inside the loop; the result types are built and checked once
     params, part = gibbs_init(data, g, m, prior, sweeps=gibbs_sweeps, seed=chain_seed)
-    state = VariationalState(_one_hot(part.z, g), _one_hot(part.w, m))
+    y = data.values.astype(float)
+    nu = _one_hot(part.w, m)
+    logs = _log_tables(params.pi, params.rho, params.alpha)
     previous = None
-    iterations = 0
+    converged = False
     for iterations in range(1, max_iter + 1):
         try:
-            state, params = vbayes_step(data, state, params, prior)
-            current = free_energy(data, state, params, prior)
+            tau, nu, pi, rho, alpha, *counts = _vbayes_update(y, nu, logs, prior)
+            logs = _log_tables(pi, rho, alpha)
+            current = _free_energy_value(tau, nu, counts, logs, prior)
         except NumericalError as exc:
             raise NumericalError(f"iteration {iterations}: {exc}") from exc
         converged = previous is not None and abs(current - previous) < tol * abs(current)
         previous = current
         if converged:
             break
-    return state, params, previous, iterations
+    return (VariationalState(tau, nu), LBMParameters(g, m, pi, rho, alpha), previous,
+            iterations, converged)
 
 
 def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
@@ -298,6 +328,10 @@ def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
     the chain with the highest final free energy wins, the first one on ties.
     The reported partition applies the MAP rule (per-row arg-max of tau, of
     nu) and ``icl_value`` scores it with the exact criterion.
+
+    Every chain is reported on the ``binlbm`` logger: a DEBUG record with its
+    iterations, whether it converged and its final free energy, and a WARNING
+    when it stops at ``max_iter`` without meeting ``tol``.
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
@@ -314,16 +348,23 @@ def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
             chain = _run_chain(data, g, m, prior, gibbs_sweeps, max_iter, tol,
                                derive_seed(seed, index))
         except NumericalError as exc:
+            _log.debug("chain (g=%d, m=%d) restart %d failed: %s", g, m, index, exc)
             failures.append(f"restart {index}: {exc}")
             chain_free_energies.append(None)
             continue
-        chain_free_energies.append(chain[2])
-        if best is None or chain[2] > best[2]:
+        _, _, chain_fe, iterations, converged = chain
+        _log.debug("chain (g=%d, m=%d) restart %d: %d iterations, converged %s, "
+                   "free energy %r", g, m, index, iterations, converged, chain_fe)
+        if not converged:
+            _log.warning("chain (g=%d, m=%d) restart %d stopped at max_iter=%d without "
+                         "meeting tol=%g", g, m, index, max_iter, tol)
+        chain_free_energies.append(chain_fe)
+        if best is None or chain_fe > best[2]:
             best = chain
             best_index = index
     if best is None:
         raise NumericalError("all restart chains failed numerically: " + "; ".join(failures))
-    state, params, best_fe, iterations = best
+    state, params, best_fe, iterations, _ = best
     map_part = CoPartition(np.argmax(state.tau, axis=1), np.argmax(state.nu, axis=1), g, m)
     return FitResult(
         params=params,

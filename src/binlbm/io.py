@@ -1,9 +1,9 @@
 """Data ingestion, result payloads, and block-reordered exports.
 
 File conventions: data files are comma-separated 0/1 with an optional header
-row (LF or CRLF); group labels are serialized 1-based; result payloads are
-JSON with sorted keys and no timestamps, so identical runs write identical
-bytes.
+row of non-numeric tokens (LF or CRLF); group labels are serialized 1-based;
+result payloads are JSON with sorted keys and no timestamps, so identical
+runs write identical bytes.
 """
 
 from __future__ import annotations
@@ -40,17 +40,20 @@ def _is_number(token):
 def load_matrix(path):
     """Parse a CSV of 0/1 values into a data matrix.
 
-    A first row containing any non-numeric token is treated as a header and
-    skipped.  Every data row must have the same length and every cell must be
+    A first row in which every token is non-numeric is a header and is
+    skipped; a first row with any numeric token is data, so a typo in it is
+    reported rather than dropped.  Blank lines at the end of the file are
+    ignored.  Every data row must have the same length and every cell must be
     exactly 0 or 1; violations raise :class:`MatrixParseError` with the
     1-based file line and column.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = Path(path).read_text().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
     if not lines:
         raise MatrixParseError(f"{path}: file is empty")
     first_tokens = [t.strip() for t in lines[0].split(",")]
-    start = 1 if any(not _is_number(t) for t in first_tokens) else 0
+    start = 0 if any(_is_number(t) for t in first_tokens) else 1
     if start == len(lines):
         raise MatrixParseError(f"{path}: no data rows after the header")
     rows = []

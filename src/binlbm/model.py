@@ -212,14 +212,16 @@ def simulate_dataset(params, n, q, seed):
 
 
 def _block_tallies(values, z, w, g, m):
-    # integer one-hot contractions; exact, no float round-off
-    row_sizes = np.bincount(z, minlength=g).astype(np.int64)
-    col_sizes = np.bincount(w, minlength=m).astype(np.int64)
-    z_onehot = np.zeros((g, values.shape[0]), dtype=np.int64)
-    z_onehot[z, np.arange(values.shape[0])] = 1
-    w_onehot = np.zeros((values.shape[1], m), dtype=np.int64)
-    w_onehot[np.arange(values.shape[1]), w] = 1
-    n1 = z_onehot @ values.astype(np.int64) @ w_onehot
+    # float one-hot contractions: every partial sum is an integer far below
+    # 2**53, so the counts are exact; float ``values`` are used without a copy
+    n, q = values.shape
+    row_sizes = np.bincount(z, minlength=g)
+    col_sizes = np.bincount(w, minlength=m)
+    z_onehot = np.zeros((g, n))
+    z_onehot[z, np.arange(n)] = 1.0
+    w_onehot = np.zeros((q, m))
+    w_onehot[np.arange(q), w] = 1.0
+    n1 = z_onehot @ values @ w_onehot
     n0 = np.outer(row_sizes, col_sizes) - n1
     return n1, n0, row_sizes, col_sizes
 

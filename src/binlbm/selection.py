@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LbmError, NumericalError, ValidationError
+from .errors import LbmError, ValidationError
 from .inference import (
     DEFAULT_GIBBS_SWEEPS,
     DEFAULT_MAX_ITER,
@@ -81,7 +81,8 @@ def select_model(data, g_max, m_max, prior=PriorHyperparams(), restarts=1, seed=
     """Fit every (g, m) in [1..g_max] x [1..m_max] and return the ICL argmax.
 
     Each cell uses an RNG stream derived from (seed, g, m), so the outcome is
-    identical whatever the thread schedule.
+    identical whatever the thread schedule.  A failing cell re-raises its
+    error with the same type and the (g, m) pair in the message.
     """
     if g_max < 1 or m_max < 1:
         raise ValidationError("g_max and m_max must be >= 1")
@@ -93,7 +94,7 @@ def select_model(data, g_max, m_max, prior=PriorHyperparams(), restarts=1, seed=
             return fit(data, g, m, prior, restarts=restarts, gibbs_sweeps=gibbs_sweeps,
                        max_iter=max_iter, tol=tol, seed=derive_seed(seed, g, m))
         except LbmError as exc:
-            raise NumericalError(f"grid cell (g={g}, m={m}) failed: {exc}") from exc
+            raise type(exc)(f"grid cell (g={g}, m={m}) failed: {exc}") from exc
 
     fits = ordered_map(run_cell, pairs, threads=threads)
     grid = tuple((g, m, fr) for (g, m), fr in zip(pairs, fits))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -19,7 +20,13 @@ from binlbm import (
     staircase_parameters,
     vbayes_step,
 )
-from binlbm.inference import _one_hot
+from binlbm.inference import (
+    DEFAULT_GIBBS_SWEEPS,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    _one_hot,
+    _run_chain,
+)
 from binlbm.rng import derive_seed
 from oracles import free_energy_bruteforce, tau_update_oracle
 
@@ -258,13 +265,13 @@ class TestFit:
         def explode(*args, **kwargs):
             raise NumericalError("synthetic failure")
 
-        monkeypatch.setattr(inference, "vbayes_step", explode)
+        monkeypatch.setattr(inference, "_vbayes_update", explode)
         with pytest.raises(NumericalError, match="all restart chains failed"):
             fit(data, 1, 1, PRIOR, restarts=3, seed=0)
 
     def test_partial_chain_failure_survives(self, monkeypatch):
         data = BinaryDataMatrix(np.eye(4, dtype=int))
-        original = inference.vbayes_step
+        original = inference._vbayes_update
         calls = {"count": 0}
 
         def flaky(*args, **kwargs):
@@ -273,8 +280,64 @@ class TestFit:
                 raise NumericalError("synthetic failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(inference, "vbayes_step", flaky)
+        monkeypatch.setattr(inference, "_vbayes_update", flaky)
         result = fit(data, 2, 2, PRIOR, restarts=2, seed=0)
         assert result.chain_free_energies[0] is None
         assert result.restart_index == 1
         assert math.isfinite(result.free_energy)
+
+
+class TestChainKernel:
+    """The chain loop on plain arrays against the public step functions."""
+
+    @staticmethod
+    def public_chain(data, g, m, seed):
+        params, part = gibbs_init(data, g, m, PRIOR, sweeps=DEFAULT_GIBBS_SWEEPS, seed=seed)
+        state = one_hot_state(part)
+        previous = None
+        for iterations in range(1, DEFAULT_MAX_ITER + 1):
+            state, params = vbayes_step(data, state, params, PRIOR)
+            current = free_energy(data, state, params, PRIOR)
+            converged = (previous is not None
+                         and abs(current - previous) < DEFAULT_TOL * abs(current))
+            previous = current
+            if converged:
+                break
+        return state, params, previous, iterations
+
+    @pytest.mark.parametrize("g, m", [(1, 1), (3, 4), (7, 7)])
+    def test_matches_public_steps_exactly(self, g, m):
+        data, _ = simulate_dataset(staircase_parameters(3, 4, 0.28), 137, 33, seed=21)
+        seed = derive_seed(5, g, m)
+        state, params, energy, iterations, _ = _run_chain(
+            data, g, m, PRIOR, DEFAULT_GIBBS_SWEEPS, DEFAULT_MAX_ITER, DEFAULT_TOL, seed)
+        ref_state, ref_params, ref_energy, ref_iterations = self.public_chain(data, g, m, seed)
+        assert np.array_equal(state.tau, ref_state.tau)
+        assert np.array_equal(state.nu, ref_state.nu)
+        for name in ("pi", "rho", "alpha"):
+            assert np.array_equal(getattr(params, name), getattr(ref_params, name))
+        assert energy == ref_energy
+        assert iterations == ref_iterations
+
+
+class TestChainLogging:
+    def test_chain_at_max_iter_warns(self, caplog):
+        data, _ = simulate_dataset(staircase_parameters(2, 2, 0.1), 30, 12, seed=3)
+        with caplog.at_level(logging.DEBUG, logger="binlbm"):
+            fit(data, 2, 2, PRIOR, restarts=2, max_iter=1, seed=4)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(warnings) == 2 and all("max_iter=1" in r.getMessage() for r in warnings)
+        assert len(debug) == 2 and all("converged False" in r.getMessage() for r in debug)
+        assert all(r.name == "binlbm" for r in caplog.records)
+
+    def test_converged_chains_do_not_warn(self, caplog):
+        data, _ = simulate_dataset(staircase_parameters(3, 4, 0.05), 137, 33, seed=8)
+        with caplog.at_level(logging.DEBUG, logger="binlbm"):
+            result = fit(data, 3, 4, PRIOR, restarts=2, seed=2)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        winner = (f"restart {result.restart_index}: {result.iterations} iterations, "
+                  f"converged True, free energy {result.free_energy!r}")
+        assert winner in messages[result.restart_index]

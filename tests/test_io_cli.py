@@ -38,6 +38,19 @@ class TestLoadMatrix:
         data = load_matrix(path)
         assert data.values.tolist() == [[1, 1]]
 
+    def test_trailing_blank_lines_ignored(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,1\n1,0,1\n\n")
+        assert load_matrix(path).values.tolist() == [[0, 1, 1], [1, 0, 1]]
+
+    def test_first_row_typo_is_not_a_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,O\n1,0,1\n0,0,1\n")
+        with pytest.raises(MatrixParseError) as info:
+            load_matrix(path)
+        assert info.value.line == 1
+        assert info.value.column == 3
+
     def test_crlf_endings(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(b"0,1\r\n1,0\r\n")

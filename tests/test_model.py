@@ -14,6 +14,7 @@ from binlbm import (
     simulate_dataset,
     staircase_parameters,
 )
+from binlbm.model import _block_tallies
 from oracles import block_counts_loop, icl_conjugate_oracle
 
 PRIOR = PriorHyperparams()
@@ -156,6 +157,31 @@ class TestBlockCounts:
         part = CoPartition(np.zeros(2, dtype=int), np.zeros(2, dtype=int), 1, 1)
         with pytest.raises(ValidationError):
             block_counts(data, part)
+
+    def test_tallies_match_add_at(self):
+        # int8 data (the icl path) and float data (the Gibbs path), with
+        # labels drawn from a random subset of groups so some stay empty
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n, q = int(rng.integers(1, 60)), int(rng.integers(1, 20))
+            g, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            values = rng.integers(0, 2, size=(n, q)).astype(np.int8)
+            used_rows = rng.choice(g, size=int(rng.integers(1, g + 1)), replace=False)
+            used_cols = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+            z = rng.choice(used_rows, size=n)
+            w = rng.choice(used_cols, size=q)
+            n1 = np.zeros((g, m), dtype=np.int64)
+            n0 = np.zeros((g, m), dtype=np.int64)
+            np.add.at(n1, (z[:, None], w[None, :]), values)
+            np.add.at(n0, (z[:, None], w[None, :]), 1 - values)
+            rows = np.zeros(g, dtype=np.int64)
+            cols = np.zeros(m, dtype=np.int64)
+            np.add.at(rows, z, 1)
+            np.add.at(cols, w, 1)
+            for cells in (values, values.astype(float)):
+                got = _block_tallies(cells, z, w, g, m)
+                for actual, expected in zip(got, (n1, n0, rows, cols)):
+                    assert np.array_equal(actual, expected)
 
 
 class TestIcl:

@@ -81,6 +81,11 @@ class TestSelectModel:
         with pytest.raises(ValidationError):
             select_model(data, 0, 1, PRIOR)
 
+    def test_cell_error_keeps_its_type(self):
+        data = BinaryDataMatrix(np.zeros((2, 2), dtype=int))
+        with pytest.raises(ValidationError, match=r"grid cell \(g=1, m=1\).*restarts must be"):
+            select_model(data, 2, 2, restarts=0)
+
 
 class TestTuneRestarts:
     def test_easy_case_stops_at_one(self):
