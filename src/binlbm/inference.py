@@ -23,7 +23,6 @@ from .model import (
     CoPartition,
     LBMParameters,
     PriorHyperparams,
-    _block_tallies,
     icl,
 )
 from .rng import derive_rng, derive_seed
@@ -110,16 +109,19 @@ def _row_softmax(logits):
     return probs
 
 
-def _sample_labels(rng, log_weights, loglik):
-    """One categorical draw per row of ``loglik``, via inverse CDF."""
-    probs = _row_softmax(log_weights[None, :] + loglik)
-    u = rng.random((probs.shape[0], 1))
-    idx = (probs.cumsum(axis=1) < u).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+def _sample_labels(rng, logits):
+    """One categorical draw per column of the (groups, items) ``logits``, via
+    inverse CDF; a uniform that rounding leaves above the last cumulative sum
+    goes to the last group."""
+    probs = np.exp(logits - np.maximum.reduce(logits, axis=0))
+    probs /= np.add.reduce(probs, axis=0)
+    u = rng.random(logits.shape[1])
+    idx = np.add.reduce(np.add.accumulate(probs, axis=0) < u, axis=0)
+    return np.minimum(idx, logits.shape[0] - 1)
 
 
-def _sample_parameters(rng, values, z, w, g, m, prior):
-    n1, n0, row_sizes, col_sizes = _block_tallies(values, z, w, g, m)
+def _sample_parameters(rng, n1, row_sizes, col_sizes, prior):
+    n0 = np.outer(row_sizes, col_sizes) - n1
     pi = rng.dirichlet(row_sizes + prior.a)
     rho = rng.dirichlet(col_sizes + prior.a)
     alpha = rng.beta(n1 + prior.b, n0 + prior.b)
@@ -143,15 +145,30 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
         raise ValidationError("g and m must be >= 1")
     rng = derive_rng(seed)
     y = data.values.astype(float)
-    y_not = 1.0 - y
+    # group-major one-hot labels: every label likelihood and block tally is a
+    # product with exact integer counts of ones, two passes over y per sweep
+    row_eye, col_eye = np.eye(g), np.eye(m)
     z = rng.integers(0, g, size=data.n)
     w = rng.integers(0, m, size=data.q)
-    pi, rho, alpha = _sample_parameters(rng, y, z, w, g, m, prior)
+    z_hot, w_hot = row_eye.take(z, axis=1), col_eye.take(w, axis=1)
+    row_sizes, col_sizes = np.bincount(z, minlength=g), np.bincount(w, minlength=m)
+    ones_by_rowgroup = z_hot @ y
+    pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
+                                        row_sizes, col_sizes, prior)
     for _ in range(sweeps):
         log1, log0 = _log_rate_tables(alpha)
-        z = _sample_labels(rng, _safe_log(pi), y @ log1[:, w].T + y_not @ log0[:, w].T)
-        w = _sample_labels(rng, _safe_log(rho), y.T @ log1[z, :] + y_not.T @ log0[z, :])
-        pi, rho, alpha = _sample_parameters(rng, y, z, w, g, m, prior)
+        ones_by_colgroup = w_hot @ y.T
+        z = _sample_labels(rng, _safe_log(pi)[:, None] + (
+            log1 @ ones_by_colgroup + log0 @ (col_sizes[:, None] - ones_by_colgroup)))
+        z_hot = row_eye.take(z, axis=1)
+        row_sizes = np.bincount(z, minlength=g)
+        ones_by_rowgroup = z_hot @ y
+        w = _sample_labels(rng, _safe_log(rho)[:, None] + (
+            log1.T @ ones_by_rowgroup + log0.T @ (row_sizes[:, None] - ones_by_rowgroup)))
+        w_hot = col_eye.take(w, axis=1)
+        col_sizes = np.bincount(w, minlength=m)
+        pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
+                                            row_sizes, col_sizes, prior)
     return LBMParameters(g, m, pi, rho, alpha), CoPartition(z, w, g, m)
 
 

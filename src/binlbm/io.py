@@ -45,9 +45,10 @@ def load_matrix(path):
     reported rather than dropped.  Blank lines at the end of the file are
     ignored.  Every data row must have the same length and every cell must be
     exactly 0 or 1; violations raise :class:`MatrixParseError` with the
-    1-based file line and column.
+    1-based file line and column.  The file is read as UTF-8, and a leading
+    byte-order mark, as spreadsheets write it, is dropped.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

@@ -212,8 +212,9 @@ def simulate_dataset(params, n, q, seed):
 
 
 def _block_tallies(values, z, w, g, m):
-    # float one-hot contractions: every partial sum is an integer far below
-    # 2**53, so the counts are exact; float ``values`` are used without a copy
+    # float one-hot contractions over the int8 data of ``icl`` and
+    # ``block_counts``: every partial sum is an integer far below 2**53, so
+    # the counts are exact
     n, q = values.shape
     row_sizes = np.bincount(z, minlength=g)
     col_sizes = np.bincount(w, minlength=m)

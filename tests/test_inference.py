@@ -25,9 +25,11 @@ from binlbm.inference import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     _one_hot,
+    _row_softmax,
     _run_chain,
+    _sample_labels,
 )
-from binlbm.rng import derive_seed
+from binlbm.rng import derive_rng, derive_seed
 from oracles import free_energy_bruteforce, tau_update_oracle
 
 PRIOR = PriorHyperparams()
@@ -75,6 +77,118 @@ class TestGibbsInit:
         data = BinaryDataMatrix(np.zeros((2, 2), dtype=int))
         with pytest.raises(ValidationError):
             gibbs_init(data, 1, 1, PRIOR, sweeps=0, seed=0)
+
+
+class TestCountSweep:
+    """The group-major sweep on block counts against the row-major sweep it
+    replaced, which gathered per-cell log rates.
+
+    The match is empirical: the two sweeps order the float operations inside
+    the label probabilities differently, so a uniform falling within rounding
+    of a CDF boundary could draw a different label.  No draw does on these
+    cells and seeds; every count, and so every Dirichlet and Beta argument,
+    is an exact integer either way.
+    """
+
+    @staticmethod
+    def row_major_gibbs(data, g, m, sweeps, seed):
+        rng = derive_rng(seed)
+        y = data.values.astype(float)
+        y_not = 1.0 - y
+
+        def draw_labels(log_weights, loglik):
+            probs = _row_softmax(log_weights[None, :] + loglik)
+            u = rng.random((probs.shape[0], 1))
+            return np.minimum((probs.cumsum(axis=1) < u).sum(axis=1), probs.shape[1] - 1)
+
+        def draw_parameters(z, w):
+            n1 = np.zeros((g, m))
+            np.add.at(n1, (z[:, None], w[None, :]), y)
+            rows, cols = np.bincount(z, minlength=g), np.bincount(w, minlength=m)
+            n0 = np.outer(rows, cols) - n1
+            return (rng.dirichlet(rows + PRIOR.a), rng.dirichlet(cols + PRIOR.a),
+                    rng.beta(n1 + PRIOR.b, n0 + PRIOR.b))
+
+        z = rng.integers(0, g, size=data.n)
+        w = rng.integers(0, m, size=data.q)
+        pi, rho, alpha = draw_parameters(z, w)
+        for _ in range(sweeps):
+            clipped = np.clip(alpha, 1e-12, 1.0 - 1e-12)
+            log1, log0 = np.log(clipped), np.log1p(-clipped)
+            z = draw_labels(np.log(np.maximum(pi, 1e-12)),
+                            y @ log1[:, w].T + y_not @ log0[:, w].T)
+            w = draw_labels(np.log(np.maximum(rho, 1e-12)),
+                            y.T @ log1[z, :] + y_not.T @ log0[z, :])
+            pi, rho, alpha = draw_parameters(z, w)
+        return z, w, pi, rho, alpha
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_row_major_sweep_on_every_cell(self, seed):
+        data, _ = simulate_dataset(staircase_parameters(3, 4, 0.28), 137, 33, seed=21)
+        for g in range(1, 8):
+            for m in range(1, 8):
+                chain_seed = derive_seed(seed, g, m)
+                params, part = gibbs_init(data, g, m, PRIOR, sweeps=DEFAULT_GIBBS_SWEEPS,
+                                          seed=chain_seed)
+                z, w, pi, rho, alpha = self.row_major_gibbs(data, g, m, DEFAULT_GIBBS_SWEEPS,
+                                                            chain_seed)
+                assert np.array_equal(part.z, z), (g, m)
+                assert np.array_equal(part.w, w), (g, m)
+                assert np.array_equal(params.pi, pi), (g, m)
+                assert np.array_equal(params.rho, rho), (g, m)
+                assert np.array_equal(params.alpha, alpha), (g, m)
+
+
+class TestSampleLabels:
+    # (groups, items): equal logits, a ramp, one dominant group, logits far
+    # below zero, and an irregular column
+    LOGITS = np.array([
+        [0.0, 0.0, 0.0, -1000.0, 0.3],
+        [0.0, 1.0, 0.0, -1001.0, -2.1],
+        [0.0, 2.0, 0.0, -999.5, 1.7],
+        [0.0, 3.0, 40.0, -1000.2, 0.0],
+        [0.0, 4.0, 0.0, -1003.0, -0.4],
+        [0.0, 5.0, 0.0, -998.9, 1.1],
+        [0.0, 6.0, 0.0, -1000.0, 0.9],
+    ])
+
+    @staticmethod
+    def longhand(logits, u):
+        labels = []
+        for column, threshold in zip(logits.T.tolist(), u.tolist()):
+            top = max(column)
+            weights = [math.exp(v - top) for v in column]
+            total = 0.0
+            for weight in weights:
+                total += weight
+            label, cdf = len(column) - 1, 0.0
+            for k, weight in enumerate(weights):
+                cdf += weight / total
+                if cdf >= threshold:
+                    label = k
+                    break
+            labels.append(label)
+        return labels
+
+    def test_matches_longhand_inverse_cdf(self):
+        for seed in range(20):
+            labels = _sample_labels(np.random.default_rng(seed), self.LOGITS)
+            u = np.random.default_rng(seed).random(self.LOGITS.shape[1])
+            assert labels.tolist() == self.longhand(self.LOGITS, u)
+
+    def test_uniform_above_last_cumulative_sum_takes_last_group(self):
+        # seven equal logits give probabilities fl(1/7), whose running sum
+        # rounds to 1 - 2**-52, below the largest uniform 1 - 2**-53
+        top = np.nextafter(1.0, 0.0)
+        assert np.cumsum(np.full(7, 1.0 / 7.0))[-1] < top
+
+        class TopUniform:
+            @staticmethod
+            def random(size):
+                return np.full(size, top)
+
+        labels = _sample_labels(TopUniform(), self.LOGITS[:, :1])
+        assert labels.tolist() == [6] == self.longhand(self.LOGITS[:, :1], np.array([top]))
 
 
 class TestVbayesStep:

@@ -51,6 +51,16 @@ class TestLoadMatrix:
         assert info.value.line == 1
         assert info.value.column == 3
 
+    def test_utf8_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes("\ufeff0,1,1\r\n1,0,1\r\n".encode("utf-8"))
+        assert load_matrix(path).values.tolist() == [[0, 1, 1], [1, 0, 1]]
+
+    def test_utf8_bom_before_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes("\ufeffitem1,item2,item3\r\n0,1,1\r\n".encode("utf-8"))
+        assert load_matrix(path).values.tolist() == [[0, 1, 1]]
+
     def test_crlf_endings(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(b"0,1\r\n1,0\r\n")
@@ -258,6 +268,15 @@ class TestCli:
             self.run("select", "--data", tmp_path / "d.csv", "--out", tmp_path / "o.json",
                      "--bogus", 1)
         assert info.value.code == 2
+
+    def test_zero_threads_is_reported(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("0,1\n1,0\n")
+        code = self.run("select", "--data", data_path, "--g-max", 1, "--m-max", 1,
+                        "--threads", 0, "--out", tmp_path / "o.json")
+        assert code == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
     def test_invalid_epsilon_is_reported(self, tmp_path, capsys):
         code = self.run("simulate", "--epsilon", 1.5, "--out", tmp_path / "d.csv")

@@ -159,8 +159,8 @@ class TestBlockCounts:
             block_counts(data, part)
 
     def test_tallies_match_add_at(self):
-        # int8 data (the icl path) and float data (the Gibbs path), with
-        # labels drawn from a random subset of groups so some stay empty
+        # int8 data (the icl path) and float data, with labels drawn from a
+        # random subset of groups so some stay empty
         rng = np.random.default_rng(17)
         for _ in range(30):
             n, q = int(rng.integers(1, 60)), int(rng.integers(1, 20))
