@@ -14,7 +14,7 @@ import sys
 
 from .errors import LbmError
 from .evaluation import robustness_experiment
-from .inference import fit
+from .inference import DEFAULT_GIBBS_SWEEPS, DEFAULT_MAX_ITER, DEFAULT_TOL, fit
 from .io import (
     export_reordered,
     fit_payload,
@@ -27,7 +27,13 @@ from .io import (
     write_matrix_csv,
 )
 from .model import PriorHyperparams, simulate_dataset, staircase_parameters
-from .selection import reference_model_study, select_model, tune_restarts
+from .selection import (
+    DEFAULT_GRID,
+    DEFAULT_T_CAP,
+    reference_model_study,
+    select_model,
+    tune_restarts,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -40,19 +46,22 @@ def _parse_pair(text):
     return g, m
 
 
-def _config(args):
-    skip = {"handler", "threads", "out"}
-    config = {key: list(value) if isinstance(value, tuple) else value
-              for key, value in vars(args).items() if key not in skip}
-    return config
-
-
-def _prior(args):
-    return PriorHyperparams(a=args.a, b=args.b)
+def _write_result(args, payload, path):
+    """Write a result file: the command's config and seed, then its payload."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("handler", "threads", "out")}
+    write_json({"config": config, "seed": args.seed, **payload}, path)
 
 
 def _fit_options(args):
-    return {"gibbs_sweeps": args.gibbs_sweeps, "max_iter": args.max_iter, "tol": args.tol}
+    return {"prior": PriorHyperparams(a=args.a, b=args.b), "gibbs_sweeps": args.gibbs_sweeps,
+            "max_iter": args.max_iter, "tol": args.tol}
+
+
+def _load_and_fit(args):
+    data = load_matrix(args.data)
+    return data, fit(data, args.g, args.m, restarts=args.restarts, seed=args.seed,
+                     **_fit_options(args))
 
 
 def _cmd_simulate(args):
@@ -61,100 +70,71 @@ def _cmd_simulate(args):
     write_matrix_csv(data, args.out)
     print(f"wrote {args.n}x{args.q} matrix to {args.out}")
     if args.labels_out:
-        write_json({
-            "config": _config(args),
-            "seed": args.seed,
-            "z": (part.z + 1).tolist(),
-            "w": (part.w + 1).tolist(),
-        }, args.labels_out)
+        _write_result(args, {"z": (part.z + 1).tolist(), "w": (part.w + 1).tolist()},
+                      args.labels_out)
         print(f"wrote simulated labels to {args.labels_out}")
-    return 0
 
 
 def _cmd_fit(args):
-    data = load_matrix(args.data)
-    result = fit(data, args.g, args.m, _prior(args), restarts=args.restarts,
-                 seed=args.seed, **_fit_options(args))
-    write_json({"config": _config(args), "seed": args.seed, **fit_payload(result)}, args.out)
+    _, result = _load_and_fit(args)
+    _write_result(args, fit_payload(result), args.out)
     print(f"fit (g={args.g}, m={args.m}): free energy {result.free_energy:.6f}, "
           f"ICL {result.icl_value:.6f} -> {args.out}")
-    return 0
 
 
 def _cmd_select(args):
     data = load_matrix(args.data)
-    selection = select_model(data, args.g_max, args.m_max, _prior(args),
-                             restarts=args.restarts, seed=args.seed,
-                             threads=args.threads, **_fit_options(args))
-    write_json({"config": _config(args), "seed": args.seed,
-                **selection_payload(selection)}, args.out)
+    selection = select_model(data, args.g_max, args.m_max, restarts=args.restarts,
+                             seed=args.seed, threads=args.threads, **_fit_options(args))
+    _write_result(args, selection_payload(selection), args.out)
     print(f"selected (g, m) = {selection.best_pair} with "
           f"ICL {selection.best_fit.icl_value:.6f} -> {args.out}")
-    return 0
 
 
 def _cmd_tune_t(args):
     records = tune_restarts(args.epsilon, args.datasets, args.target,
-                            (args.g_max, args.m_max), _prior(args), t_cap=args.t_cap,
+                            (args.g_max, args.m_max), t_cap=args.t_cap,
                             seed=args.seed, n=args.n, q=args.q,
                             threads=args.threads, **_fit_options(args))
-    write_json({"config": _config(args), "seed": args.seed, **tuning_payload(records)},
-               args.out)
+    _write_result(args, tuning_payload(records), args.out)
     for record in records:
         counts, censored = record.distribution()
         print(f"epsilon={record.epsilon}: T distribution {counts}, censored {censored}")
     print(f"wrote tuning records to {args.out}")
-    return 0
 
 
 def _cmd_refmodel(args):
     data = load_matrix(args.data)
-    study = reference_model_study(data, (args.g_max, args.m_max), _prior(args),
-                                  runs=args.runs, seed=args.seed,
-                                  threads=args.threads, **_fit_options(args))
-    write_json({"config": _config(args), "seed": args.seed, **reference_payload(study)},
-               args.out)
+    study = reference_model_study(data, (args.g_max, args.m_max), runs=args.runs,
+                                  seed=args.seed, threads=args.threads, **_fit_options(args))
+    _write_result(args, reference_payload(study), args.out)
     print(f"reference pair {study.reference_pair} selected "
           f"{study.occurrences}/{study.runs} times -> {args.out}")
-    return 0
 
 
 def _cmd_robustness(args):
     report = robustness_experiment(args.epsilon, args.datasets, args.sizes,
                                    args.samples_per_size, (args.g_max, args.m_max),
-                                   _prior(args), seed=args.seed, target_pair=args.target,
+                                   seed=args.seed, target_pair=args.target,
                                    n=args.n, q=args.q, restarts=args.restarts,
                                    threads=args.threads, **_fit_options(args))
-    write_json({"config": _config(args), "seed": args.seed, **robustness_payload(report)},
-               args.out)
+    _write_result(args, robustness_payload(report), args.out)
     print(f"wrote robustness report ({len(report.cells)} cells) to {args.out}")
-    return 0
 
 
 def _cmd_reorder(args):
-    data = load_matrix(args.data)
-    result = fit(data, args.g, args.m, _prior(args), restarts=args.restarts,
-                 seed=args.seed, **_fit_options(args))
+    data, result = _load_and_fit(args)
     matrix_path, summary_path = export_reordered(data, result, args.out)
     print(f"wrote {matrix_path} and {summary_path}")
-    return 0
 
 
-def _add_common(parser, *, threads=False):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--a", type=float, default=4.0,
-                        help="Dirichlet concentration for pi and rho (default 4)")
-    parser.add_argument("--b", type=float, default=1.0,
-                        help="Beta concentration for the block rates (default 1)")
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="relative free-energy convergence tolerance")
-    parser.add_argument("--max-iter", type=int, default=500,
-                        help="V-Bayes iteration cap per chain")
-    parser.add_argument("--gibbs-sweeps", type=int, default=100,
-                        help="Gibbs initialization sweeps per chain")
-    if threads:
-        parser.add_argument("--threads", type=int, default=1,
-                            help="worker threads (never changes results)")
+def _flags(*flags):
+    """A help-less parser holding one flag group, shared through ``parents=``;
+    ``flags`` are (flag, keyword arguments of ``add_argument``) pairs."""
+    parser = argparse.ArgumentParser(add_help=False)
+    for flag, options in flags:
+        parser.add_argument(flag, **options)
+    return parser
 
 
 def build_parser():
@@ -164,91 +144,72 @@ def build_parser():
                     "fitting, exact ICL model selection and experiment drivers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="simulate a staircase-design data set")
+    prior = PriorHyperparams()
+    seed = _flags(("--seed", dict(type=int, default=0, help="master RNG seed")))
+    chain = _flags(
+        ("--a", dict(type=float, default=prior.a,
+                     help="Dirichlet concentration for pi and rho (default %(default)s)")),
+        ("--b", dict(type=float, default=prior.b,
+                     help="Beta concentration for the block rates (default %(default)s)")),
+        ("--tol", dict(type=float, default=DEFAULT_TOL,
+                       help="relative free-energy convergence tolerance")),
+        ("--max-iter", dict(type=int, default=DEFAULT_MAX_ITER,
+                            help="V-Bayes iteration cap per chain")),
+        ("--gibbs-sweeps", dict(type=int, default=DEFAULT_GIBBS_SWEEPS,
+                                help="Gibbs initialization sweeps per chain")))
+    threads = _flags(("--threads", dict(type=int, default=1,
+                                        help="worker threads (never changes results)")))
+    data = _flags(("--data", dict(required=True)))
+    pair = _flags(("--g", dict(type=int, required=True)), ("--m", dict(type=int, required=True)))
+    restarts = _flags(("--restarts", dict(type=int, default=1)))
+    grid = _flags(("--g-max", dict(type=int, default=DEFAULT_GRID[0])),
+                  ("--m-max", dict(type=int, default=DEFAULT_GRID[1])))
+    design = _flags(("--n", dict(type=int, default=137)), ("--q", dict(type=int, default=33)))
+    study = _flags(("--epsilon", dict(type=float, nargs="+", required=True)),
+                   ("--datasets", dict(type=int, required=True)),
+                   ("--target", dict(type=_parse_pair, default=(3, 4),
+                                     help="target pair, e.g. 3,4")))
+    fitting = [seed, chain]
+    threaded = [seed, chain, threads]
+
+    def command(name, handler, parents, summary, out_help=None):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.add_argument("--out", required=True, help=out_help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("simulate", _cmd_simulate, [design, seed],
+                "simulate a staircase-design data set", "output CSV path")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--g", type=int, default=3)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--n", type=int, default=137)
-    p.add_argument("--q", type=int, default=33)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--labels-out", default=None, help="optional JSON path for the true labels")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("fit", help="fit a single (g, m) cell")
-    p.add_argument("--data", required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fit)
-
-    p = sub.add_parser("select", help="ICL model selection over a grid")
-    p.add_argument("--data", required=True)
-    p.add_argument("--g-max", type=int, default=7)
-    p.add_argument("--m-max", type=int, default=7)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--out", required=True)
-    _add_common(p, threads=True)
-    p.set_defaults(handler=_cmd_select)
-
-    p = sub.add_parser("tune-t", help="first restart count that selects the target pair")
-    p.add_argument("--epsilon", type=float, nargs="+", required=True)
-    p.add_argument("--datasets", type=int, required=True)
-    p.add_argument("--target", type=_parse_pair, default=(3, 4), help="target pair, e.g. 3,4")
-    p.add_argument("--g-max", type=int, default=7)
-    p.add_argument("--m-max", type=int, default=7)
-    p.add_argument("--t-cap", type=int, default=200)
-    p.add_argument("--n", type=int, default=137)
-    p.add_argument("--q", type=int, default=33)
-    p.add_argument("--out", required=True)
-    _add_common(p, threads=True)
-    p.set_defaults(handler=_cmd_tune_t)
-
-    p = sub.add_parser("refmodel", help="repeated single-restart selection study")
-    p.add_argument("--data", required=True)
+    command("fit", _cmd_fit, [data, pair, restarts, *fitting], "fit a single (g, m) cell")
+    command("select", _cmd_select, [data, grid, restarts, *threaded],
+            "ICL model selection over a grid")
+    p = command("tune-t", _cmd_tune_t, [study, grid, design, *threaded],
+                "first restart count that selects the target pair")
+    p.add_argument("--t-cap", type=int, default=DEFAULT_T_CAP)
+    p = command("refmodel", _cmd_refmodel, [data, grid, *threaded],
+                "repeated single-restart selection study")
     p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--g-max", type=int, default=7)
-    p.add_argument("--m-max", type=int, default=7)
-    p.add_argument("--out", required=True)
-    _add_common(p, threads=True)
-    p.set_defaults(handler=_cmd_refmodel)
-
-    p = sub.add_parser("robustness", help="subsample robustness of grid selection")
-    p.add_argument("--epsilon", type=float, nargs="+", required=True)
-    p.add_argument("--datasets", type=int, required=True)
+    p = command("robustness", _cmd_robustness, [study, grid, design, restarts, *threaded],
+                "subsample robustness of grid selection")
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--samples-per-size", type=int, default=10)
-    p.add_argument("--target", type=_parse_pair, default=(3, 4))
-    p.add_argument("--g-max", type=int, default=7)
-    p.add_argument("--m-max", type=int, default=7)
-    p.add_argument("--n", type=int, default=137)
-    p.add_argument("--q", type=int, default=33)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--out", required=True)
-    _add_common(p, threads=True)
-    p.set_defaults(handler=_cmd_robustness)
-
-    p = sub.add_parser("reorder", help="export the block-reordered matrix and summary")
-    p.add_argument("--data", required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--out", required=True, help="output path prefix")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_reorder)
-
+    command("reorder", _cmd_reorder, [data, pair, restarts, *fitting],
+            "export the block-reordered matrix and summary", "output path prefix")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args.handler(args)
     except LbmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0

@@ -22,10 +22,16 @@ from .errors import (
     ValidationError,
 )
 from .inference import DEFAULT_GIBBS_SWEEPS, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .model import BinaryDataMatrix, PriorHyperparams, simulate_dataset, staircase_parameters
+from .model import (
+    BinaryDataMatrix,
+    PriorHyperparams,
+    _check_labels,
+    simulate_dataset,
+    staircase_parameters,
+)
 from .parallel import ordered_map
 from .rng import derive_rng, derive_seed
-from .selection import select_model
+from .selection import _target_in_grid, select_model
 
 __all__ = [
     "MatchResult",
@@ -40,17 +46,6 @@ __all__ = [
 ]
 
 MAX_MATCH_GROUPS = 8
-
-
-def _check_labels(labels, bound, name):
-    arr = np.asarray(labels)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError(f"{name} must be a non-empty 1-d vector")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"{name} must be integer-valued")
-    if int(arr.min()) < 0 or int(arr.max()) >= bound:
-        raise ValidationError(f"{name} labels must lie in [0, {bound - 1}]")
-    return arr.astype(np.int64, copy=False)
 
 
 def contingency(ref_z, est_z, g_ref, g_est):
@@ -248,7 +243,8 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     proportions as the reference; then for every sample size draw stratified
     subsamples, re-run the selection on each, tabulate the selected pair, and
     score the subsample's row partition against the reference labels of the
-    sampled rows with :func:`best_match`.
+    sampled rows with :func:`best_match`.  A grid of more than
+    ``MAX_MATCH_GROUPS`` row groups is rejected before any simulation.
     """
     if datasets_per_eps < 1 or samples_per_size < 1:
         raise ValidationError("datasets_per_eps and samples_per_size must be >= 1")
@@ -256,9 +252,10 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     if any(s < 1 or s > n for s in sample_sizes):
         raise ValidationError(f"sample sizes must lie in [1, {n}]")
     g_max, m_max = grid
-    target_g, target_m = int(target_pair[0]), int(target_pair[1])
-    if not (1 <= target_g <= g_max and 1 <= target_m <= m_max):
-        raise ValidationError(f"target pair {target_pair} lies outside the grid {grid}")
+    if g_max > MAX_MATCH_GROUPS:
+        raise ValidationError(
+            f"g_max={g_max} exceeds the {MAX_MATCH_GROUPS} row groups best_match supports")
+    target_g, target_m = _target_in_grid(target_pair, grid)
 
     tasks = [(eps_index, float(epsilon), dataset_index)
              for eps_index, epsilon in enumerate(epsilon_list)
@@ -308,19 +305,16 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
 
     results = ordered_map(run_dataset, tasks, threads=threads)
 
+    tallies = {}
+    for (_, outcomes), (_, epsilon, _) in zip(results, tasks):
+        for size, pair, rate in outcomes:
+            pair_counts, rates_by_g = tallies.setdefault((epsilon, size), ({}, {}))
+            pair_counts[pair] = pair_counts.get(pair, 0) + 1
+            rates_by_g.setdefault(pair[0], []).append(rate)
     cells = []
     for epsilon in (float(e) for e in epsilon_list):
         for n_sub in sample_sizes:
-            pair_counts = {}
-            rates_by_g = {}
-            for (reference, outcomes), task in zip(results, tasks):
-                if task[1] != epsilon:
-                    continue
-                for size, pair, rate in outcomes:
-                    if size != n_sub:
-                        continue
-                    pair_counts[pair] = pair_counts.get(pair, 0) + 1
-                    rates_by_g.setdefault(pair[0], []).append(rate)
+            pair_counts, rates_by_g = tallies[(epsilon, n_sub)]
             cells.append(RobustnessCell(
                 epsilon=epsilon,
                 sample_size=n_sub,

@@ -86,11 +86,12 @@ def load_matrix(path):
 
 def write_matrix_csv(data, path, header=None):
     """Write a data matrix as comma-separated 0/1 rows (LF endings)."""
-    lines = []
-    if header is not None:
-        lines.append(",".join(header))
-    lines.extend(",".join(str(int(v)) for v in row) for row in data.values)
-    Path(path).write_text("\n".join(lines) + "\n")
+    n, q = data.values.shape
+    body = np.full((n, 2 * q), ord(","), dtype=np.uint8)
+    body[:, 0::2] = data.values + ord("0")
+    body[:, -1] = ord("\n")
+    head = "" if header is None else ",".join(header) + "\n"
+    Path(path).write_bytes(head.encode("utf-8") + body.tobytes())
 
 
 def _group_spans(sorted_labels):

@@ -45,6 +45,17 @@ def _check_prob_vector(p, name):
         raise ValidationError(f"{name} must sum to 1 within {PROB_TOL}, got {total!r}")
 
 
+def _check_labels(labels, bound, name):
+    arr = np.asarray(labels)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValidationError(f"{name} must be a non-empty 1-d vector")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValidationError(f"{name} must be integer-valued")
+    if int(arr.min()) < 0 or int(arr.max()) >= bound:
+        raise ValidationError(f"{name} labels must lie in [0, {bound - 1}]")
+    return arr.astype(np.int64, copy=False)
+
+
 def _freeze(obj, name, arr):
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
@@ -120,14 +131,7 @@ class CoPartition:
         if self.g < 1 or self.m < 1:
             raise ValidationError("g and m must be >= 1")
         for name, labels, bound in (("z", self.z, self.g), ("w", self.w, self.m)):
-            arr = np.asarray(labels)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValidationError(f"{name} must be a non-empty 1-d vector")
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValidationError(f"{name} must be integer-valued")
-            if int(arr.min()) < 0 or int(arr.max()) >= bound:
-                raise ValidationError(f"{name} labels must lie in [0, {bound - 1}]")
-            _freeze(self, name, arr.astype(np.int64, copy=True))
+            _freeze(self, name, _check_labels(labels, bound, name).copy())
 
     @property
     def n(self) -> int:

@@ -75,6 +75,14 @@ def _argmax_icl(grid):
     return (best[0], best[1]), best[2]
 
 
+def _target_in_grid(target_pair, grid):
+    """The target pair as ints, rejected when it lies outside the grid."""
+    target_g, target_m = int(target_pair[0]), int(target_pair[1])
+    if not (1 <= target_g <= grid[0] and 1 <= target_m <= grid[1]):
+        raise ValidationError(f"target pair {target_pair} lies outside the grid {grid}")
+    return target_g, target_m
+
+
 def select_model(data, g_max, m_max, prior=PriorHyperparams(), restarts=1, seed=0, *,
                  gibbs_sweeps=DEFAULT_GIBBS_SWEEPS, max_iter=DEFAULT_MAX_ITER,
                  tol=DEFAULT_TOL, threads=1):
@@ -151,9 +159,7 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid,
     if datasets_per_eps < 1:
         raise ValidationError("datasets_per_eps must be >= 1")
     g_max, m_max = grid
-    target_g, target_m = int(target_pair[0]), int(target_pair[1])
-    if not (1 <= target_g <= g_max and 1 <= target_m <= m_max):
-        raise ValidationError(f"target pair {target_pair} lies outside the grid {grid}")
+    target_g, target_m = _target_in_grid(target_pair, grid)
     records = []
     for eps_index, epsilon in enumerate(epsilon_list):
         params = staircase_parameters(target_g, target_m, epsilon)

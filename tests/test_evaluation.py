@@ -13,7 +13,8 @@ from binlbm import (
     staircase_parameters,
     stratified_subsample,
 )
-from binlbm.evaluation import _largest_remainder
+from binlbm import evaluation
+from binlbm.evaluation import MAX_MATCH_GROUPS, _largest_remainder
 from oracles import TABLE5_COUNTS, TABLE5_EST, TABLE5_REF, best_match_bruteforce
 
 PRIOR = PriorHyperparams()
@@ -225,3 +226,22 @@ class TestRobustnessExperiment:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValidationError):
             robustness_experiment([0.1], 1, [500], 1, grid=(3, 4), n=80, q=30)
+
+    def test_oversized_grid_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a data set for an unsupported grid")
+
+        monkeypatch.setattr(evaluation, "simulate_dataset", no_simulation)
+        with pytest.raises(ValidationError, match="best_match"):
+            robustness_experiment([0.1], 1, [20], 1, grid=(MAX_MATCH_GROUPS + 1, 4),
+                                  n=60, q=24)
+
+    def test_repeated_epsilons_and_sizes_keep_their_cells(self):
+        report = robustness_experiment([0.1, 0.1], 1, [12, 16, 12], 1, grid=(2, 2),
+                                       target_pair=(2, 2), seed=4, n=30, q=10)
+        assert [(c.epsilon, c.sample_size) for c in report.cells] == [(0.1, 12), (0.1, 16),
+                                                                      (0.1, 12)] * 2
+        # a cell pools every outcome whose epsilon and size equal its own
+        totals = [sum(c.pair_counts.values()) for c in report.cells]
+        assert totals == [4, 2, 4] * 2
+        assert report.cells[0] == report.cells[2] == report.cells[3] == report.cells[5]

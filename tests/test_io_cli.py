@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -8,13 +9,26 @@ from binlbm import (
     CoPartition,
     LBMParameters,
     MatrixParseError,
+    PriorHyperparams,
     VariationalState,
     export_reordered,
+    fit,
     load_matrix,
+    reference_model_study,
+    robustness_experiment,
+    select_model,
+    tune_restarts,
     write_matrix_csv,
 )
-from binlbm.cli import main
-from binlbm.inference import FitResult, _one_hot
+from binlbm.cli import build_parser, main
+from binlbm.inference import (
+    DEFAULT_GIBBS_SWEEPS,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    FitResult,
+    _one_hot,
+)
+from binlbm.selection import DEFAULT_GRID, DEFAULT_T_CAP
 
 
 def make_fit_result(params, z, w):
@@ -107,6 +121,14 @@ class TestLoadMatrix:
         path = tmp_path / "m.csv"
         write_matrix_csv(data, path)
         assert np.array_equal(load_matrix(path).values, data.values)
+
+    def test_written_bytes(self, tmp_path):
+        data = BinaryDataMatrix(np.array([[0, 1, 1], [1, 0, 0]]))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(data, path, header=["a", "b", "c"])
+        assert path.read_bytes() == b"a,b,c\n0,1,1\n1,0,0\n"
+        write_matrix_csv(data, path)
+        assert path.read_bytes() == b"0,1,1\n1,0,0\n"
 
 
 class TestExportReordered:
@@ -282,3 +304,68 @@ class TestCli:
         code = self.run("simulate", "--epsilon", 1.5, "--out", tmp_path / "d.csv")
         assert code == 1
         assert "epsilon" in capsys.readouterr().err
+
+
+CHAIN_DEFAULTS = {"seed": 0, "a": 4.0, "b": 1.0, "tol": 1e-06, "max_iter": 500,
+                  "gibbs_sweeps": 100}
+
+# a minimal command line per subcommand, the namespace it parses to (without
+# the handler) and the library function the subcommand calls
+PARSED = [
+    (["simulate", "--epsilon", "0.1", "--out", "d.csv"],
+     {"command": "simulate", "epsilon": 0.1, "g": 3, "m": 4, "n": 137, "q": 33, "seed": 0,
+      "out": "d.csv", "labels_out": None}, None),
+    (["fit", "--data", "d.csv", "--g", "2", "--m", "3", "--out", "f.json"],
+     {"command": "fit", "data": "d.csv", "g": 2, "m": 3, "restarts": 1, "out": "f.json",
+      **CHAIN_DEFAULTS}, fit),
+    (["select", "--data", "d.csv", "--out", "s.json"],
+     {"command": "select", "data": "d.csv", "g_max": 7, "m_max": 7, "restarts": 1,
+      "out": "s.json", "threads": 1, **CHAIN_DEFAULTS}, select_model),
+    (["tune-t", "--epsilon", "0.05", "--datasets", "2", "--out", "t.json"],
+     {"command": "tune-t", "epsilon": [0.05], "datasets": 2, "target": (3, 4), "g_max": 7,
+      "m_max": 7, "t_cap": 200, "n": 137, "q": 33, "out": "t.json", "threads": 1,
+      **CHAIN_DEFAULTS}, tune_restarts),
+    (["refmodel", "--data", "d.csv", "--runs", "5", "--out", "r.json"],
+     {"command": "refmodel", "data": "d.csv", "runs": 5, "g_max": 7, "m_max": 7,
+      "out": "r.json", "threads": 1, **CHAIN_DEFAULTS}, reference_model_study),
+    (["robustness", "--epsilon", "0.15", "--datasets", "1", "--sizes", "20", "40",
+      "--out", "b.json"],
+     {"command": "robustness", "epsilon": [0.15], "datasets": 1, "sizes": [20, 40],
+      "samples_per_size": 10, "target": (3, 4), "g_max": 7, "m_max": 7, "n": 137, "q": 33,
+      "restarts": 1, "out": "b.json", "threads": 1, **CHAIN_DEFAULTS}, robustness_experiment),
+    (["reorder", "--data", "d.csv", "--g", "2", "--m", "3", "--out", "re"],
+     {"command": "reorder", "data": "d.csv", "g": 2, "m": 3, "restarts": 1, "out": "re",
+      **CHAIN_DEFAULTS}, fit),
+]
+
+
+class TestCliDeclarations:
+    """Every result file embeds the parsed namespace as its config, so the
+    namespace of each subcommand is pinned here, value and type."""
+
+    @pytest.mark.parametrize("argv, expected, _", PARSED, ids=[p[0][0] for p in PARSED])
+    def test_namespace(self, argv, expected, _):
+        parsed = vars(build_parser().parse_args(argv))
+        parsed.pop("handler")
+        assert parsed == expected
+        assert {k: type(v) for k, v in parsed.items()} == {
+            k: type(v) for k, v in expected.items()}
+
+    @pytest.mark.parametrize("argv, _, library", PARSED, ids=[p[0][0] for p in PARSED])
+    def test_defaults_come_from_the_library(self, argv, _, library):
+        parsed = vars(build_parser().parse_args(argv))
+        prior = PriorHyperparams()
+        constants = {"a": prior.a, "b": prior.b, "tol": DEFAULT_TOL,
+                     "max_iter": DEFAULT_MAX_ITER, "gibbs_sweeps": DEFAULT_GIBBS_SWEEPS,
+                     "g_max": DEFAULT_GRID[0], "m_max": DEFAULT_GRID[1], "t_cap": DEFAULT_T_CAP}
+        shared = constants.keys() & parsed.keys()
+        assert {k: parsed[k] for k in shared} == {k: constants[k] for k in shared}
+        if library is None:
+            return
+        params = inspect.signature(library).parameters
+        for dest in ("restarts", "seed", "threads", "n", "q", "t_cap", "target", "gibbs_sweeps",
+                     "max_iter", "tol"):
+            param = params.get("target_pair" if dest == "target" else dest)
+            if dest in parsed and param is not None and param.default is not param.empty:
+                assert parsed[dest] == param.default, dest
+        assert params["prior"].default == PriorHyperparams(a=parsed["a"], b=parsed["b"])
