@@ -8,7 +8,6 @@ restart tuning and subsample robustness.
 
 from .errors import (
     ExperimentError,
-    InfeasibleSampleError,
     LbmError,
     MatrixParseError,
     NumericalError,
@@ -64,7 +63,6 @@ __all__ = [
     "CoPartition",
     "ExperimentError",
     "FitResult",
-    "InfeasibleSampleError",
     "InterArrivalSummary",
     "LBMParameters",
     "LbmError",

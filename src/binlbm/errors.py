@@ -25,9 +25,5 @@ class NumericalError(LbmError, ArithmeticError):
     """A numerical routine produced a non-finite intermediate value."""
 
 
-class InfeasibleSampleError(LbmError, ValueError):
-    """A stratified allocation asks for more rows than a group contains."""
-
-
 class ExperimentError(LbmError, RuntimeError):
     """An experiment driver failed; the message carries the cell context."""

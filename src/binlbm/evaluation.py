@@ -15,20 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ExperimentError,
-    InfeasibleSampleError,
-    LbmError,
-    ValidationError,
-)
-from .inference import DEFAULT_GIBBS_SWEEPS, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .model import (
-    BinaryDataMatrix,
-    PriorHyperparams,
-    _check_labels,
-    simulate_dataset,
-    staircase_parameters,
-)
+from .errors import ExperimentError, LbmError, ValidationError
+from .model import BinaryDataMatrix, _check_labels, simulate_dataset, staircase_parameters
 from .parallel import ordered_map
 from .rng import derive_rng, derive_seed
 from .selection import _target_in_grid, select_model
@@ -46,6 +34,8 @@ __all__ = [
 ]
 
 MAX_MATCH_GROUPS = 8
+# simulated data sets tried per robustness data set before giving up
+MAX_ATTEMPTS = 200
 
 
 def contingency(ref_z, est_z, g_ref, g_est):
@@ -142,7 +132,11 @@ def best_match(ref_z, est_z, g_ref, g_est):
                        mapping=mapping, merged_side=merged_side)
 
 
-def _largest_remainder(proportions, total):
+def _largest_remainder(proportions, total, capacity):
+    """Largest-remainder rounding of ``total * proportions`` (ties go to the
+    smaller index), capped at ``capacity``: the rows a group cannot hold go
+    one at a time, in the same remainder order, to the groups with room.
+    ``capacity`` must sum to at least ``total``."""
     quota = proportions * total
     base = np.floor(quota).astype(np.int64)
     leftover = int(total - base.sum())
@@ -151,13 +145,21 @@ def _largest_remainder(proportions, total):
     order = np.lexsort((np.arange(proportions.size), -(quota - base)))
     allocation = base.copy()
     allocation[order[:leftover]] += 1
+    surplus = int(np.maximum(allocation - capacity, 0).sum())
+    allocation = np.minimum(allocation, capacity)
+    while surplus:
+        room = order[allocation[order] < capacity[order]][:surplus]
+        allocation[room] += 1
+        surplus -= room.size
     return allocation
 
 
 def stratified_subsample(data, ref_z, proportions, n_sub, seed):
     """Sample ``n_sub`` rows without replacement, allocating per reference
     group by largest-remainder rounding of ``n_sub * proportions`` (ties go
-    to the smaller group index).
+    to the smaller group index).  A group asked for more rows than it holds
+    gives all of them, and the rest go row by row, in the same remainder
+    order, to groups with rows to spare; at ``n_sub = n`` every row is taken.
 
     Selected rows keep their original relative order; returns the submatrix,
     the reference labels of the selected rows, and the original row indices.
@@ -174,12 +176,7 @@ def stratified_subsample(data, ref_z, proportions, n_sub, seed):
         raise ValidationError("ref_z length must equal the number of data rows")
     if not 1 <= n_sub <= data.n:
         raise ValidationError(f"n_sub must lie in [1, {data.n}], got {n_sub}")
-    allocation = _largest_remainder(prop, n_sub)
-    sizes = np.bincount(ref, minlength=prop.size)
-    for k in range(prop.size):
-        if allocation[k] > sizes[k]:
-            raise InfeasibleSampleError(
-                f"group {k + 1} holds {sizes[k]} rows but the allocation asks for {allocation[k]}")
+    allocation = _largest_remainder(prop, n_sub, np.bincount(ref, minlength=prop.size))
     rng = derive_rng(seed)
     chosen = []
     for k in range(prop.size):
@@ -231,20 +228,22 @@ class RobustnessReport:
 
 
 def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_per_size,
-                          grid, prior=PriorHyperparams(), seed=0, *,
-                          target_pair=(3, 4), n=137, q=33, restarts=1,
-                          max_attempts=200, gibbs_sweeps=DEFAULT_GIBBS_SWEEPS,
-                          max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL, threads=1):
+                          grid, *, seed=0, target_pair=(3, 4), n=137, q=33, threads=1,
+                          **fit_options):
     """Stability of grid selection under stratified subsampling of the rows.
 
     Per epsilon and data set: simulate from the staircase design until the
     full-data selection returns ``target_pair`` (each failed attempt draws a
-    fresh data set), keep that fit's MAP row partition and estimated row
-    proportions as the reference; then for every sample size draw stratified
-    subsamples, re-run the selection on each, tabulate the selected pair, and
-    score the subsample's row partition against the reference labels of the
-    sampled rows with :func:`best_match`.  A grid of more than
-    ``MAX_MATCH_GROUPS`` row groups is rejected before any simulation.
+    fresh data set, up to ``MAX_ATTEMPTS``), keep that fit's MAP row
+    partition and estimated row proportions as the reference; then for every
+    sample size draw stratified subsamples, re-run the selection on each,
+    tabulate the selected pair, and score the subsample's row partition
+    against the reference labels of the sampled rows with
+    :func:`best_match`.  A grid of more than
+    ``MAX_MATCH_GROUPS`` row groups, or an invalid epsilon, is rejected
+    before any simulation.  The remaining keywords (``prior``, ``restarts``,
+    ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to :func:`fit`,
+    with its defaults.
     """
     if datasets_per_eps < 1 or samples_per_size < 1:
         raise ValidationError("datasets_per_eps and samples_per_size must be >= 1")
@@ -256,6 +255,7 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
         raise ValidationError(
             f"g_max={g_max} exceeds the {MAX_MATCH_GROUPS} row groups best_match supports")
     target_g, target_m = _target_in_grid(target_pair, grid)
+    designs = [staircase_parameters(target_g, target_m, epsilon) for epsilon in epsilon_list]
 
     tasks = [(eps_index, float(epsilon), dataset_index)
              for eps_index, epsilon in enumerate(epsilon_list)
@@ -263,22 +263,21 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
 
     def run_dataset(task):
         eps_index, epsilon, dataset_index = task
-        params = staircase_parameters(target_g, target_m, epsilon)
         accepted = None
-        for attempt in range(max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             dataset, _ = simulate_dataset(
-                params, n, q, seed=derive_seed(seed, eps_index, dataset_index, attempt, 0))
+                designs[eps_index], n, q,
+                seed=derive_seed(seed, eps_index, dataset_index, attempt, 0))
             selection = select_model(
-                dataset, g_max, m_max, prior, restarts=restarts,
-                seed=derive_seed(seed, eps_index, dataset_index, attempt, 1),
-                gibbs_sweeps=gibbs_sweeps, max_iter=max_iter, tol=tol)
+                dataset, g_max, m_max,
+                seed=derive_seed(seed, eps_index, dataset_index, attempt, 1), **fit_options)
             if selection.best_pair == (target_g, target_m):
                 accepted = (dataset, selection, attempt + 1)
                 break
         if accepted is None:
             raise ExperimentError(
                 f"epsilon={epsilon}, dataset {dataset_index}: no accepted data set "
-                f"within {max_attempts} attempts")
+                f"within {MAX_ATTEMPTS} attempts")
         dataset, selection, attempts = accepted
         reference_fit = selection.best_fit
         ref_labels = reference_fit.map_part.z
@@ -291,9 +290,9 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
                         dataset, ref_labels, proportions, n_sub,
                         seed=derive_seed(seed, eps_index, dataset_index, n_sub, sample_index, 2))
                     sub_selection = select_model(
-                        sub, g_max, m_max, prior, restarts=restarts,
+                        sub, g_max, m_max,
                         seed=derive_seed(seed, eps_index, dataset_index, n_sub, sample_index, 3),
-                        gibbs_sweeps=gibbs_sweeps, max_iter=max_iter, tol=tol)
+                        **fit_options)
                     match = best_match(sub_ref, sub_selection.best_fit.map_part.z,
                                        target_g, sub_selection.best_pair[0])
                 except LbmError as exc:

@@ -10,14 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LbmError, ValidationError
-from .inference import (
-    DEFAULT_GIBBS_SWEEPS,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    FitResult,
-    fit,
-)
-from .model import PriorHyperparams, simulate_dataset, staircase_parameters
+from .inference import FitResult, fit
+from .model import simulate_dataset, staircase_parameters
 from .parallel import ordered_map
 from .rng import derive_seed
 
@@ -83,14 +77,14 @@ def _target_in_grid(target_pair, grid):
     return target_g, target_m
 
 
-def select_model(data, g_max, m_max, prior=PriorHyperparams(), restarts=1, seed=0, *,
-                 gibbs_sweeps=DEFAULT_GIBBS_SWEEPS, max_iter=DEFAULT_MAX_ITER,
-                 tol=DEFAULT_TOL, threads=1):
+def select_model(data, g_max, m_max, *, seed=0, threads=1, **fit_options):
     """Fit every (g, m) in [1..g_max] x [1..m_max] and return the ICL argmax.
 
     Each cell uses an RNG stream derived from (seed, g, m), so the outcome is
     identical whatever the thread schedule.  A failing cell re-raises its
-    error with the same type and the (g, m) pair in the message.
+    error with the same type and the (g, m) pair in the message.  The
+    remaining keywords (``prior``, ``restarts``, ``gibbs_sweeps``,
+    ``max_iter``, ``tol``) go unchanged to :func:`fit`, with its defaults.
     """
     if g_max < 1 or m_max < 1:
         raise ValidationError("g_max and m_max must be >= 1")
@@ -99,8 +93,7 @@ def select_model(data, g_max, m_max, prior=PriorHyperparams(), restarts=1, seed=
     def run_cell(pair):
         g, m = pair
         try:
-            return fit(data, g, m, prior, restarts=restarts, gibbs_sweeps=gibbs_sweeps,
-                       max_iter=max_iter, tol=tol, seed=derive_seed(seed, g, m))
+            return fit(data, g, m, seed=derive_seed(seed, g, m), **fit_options)
         except LbmError as exc:
             raise type(exc)(f"grid cell (g={g}, m={m}) failed: {exc}") from exc
 
@@ -141,10 +134,8 @@ class TuningRecord:
         return dict(sorted(counts.items())), censored
 
 
-def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid,
-                  prior=PriorHyperparams(), t_cap=DEFAULT_T_CAP, seed=0, *,
-                  n=137, q=33, gibbs_sweeps=DEFAULT_GIBBS_SWEEPS,
-                  max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL, threads=1):
+def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
+                  t_cap=DEFAULT_T_CAP, seed=0, n=137, q=33, threads=1, **fit_options):
     """Smallest restart count at which grid selection finds the target pair.
 
     For each epsilon, simulates ``datasets_per_eps`` data sets of size (n, q)
@@ -153,6 +144,9 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid,
     selection with T restarts, until the target pair is selected or ``t_cap``
     is reached (recorded as censored; censoring is a normal outcome).  A
     fresh data set is drawn only in the outer loop, never while T grows.
+    Every epsilon is checked before any data set is drawn.  The remaining
+    keywords (``prior``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go
+    unchanged to :func:`fit`, with its defaults.
     """
     if t_cap < 1:
         raise ValidationError("t_cap must be >= 1")
@@ -160,17 +154,17 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid,
         raise ValidationError("datasets_per_eps must be >= 1")
     g_max, m_max = grid
     target_g, target_m = _target_in_grid(target_pair, grid)
+    designs = [staircase_parameters(target_g, target_m, epsilon) for epsilon in epsilon_list]
     records = []
-    for eps_index, epsilon in enumerate(epsilon_list):
-        params = staircase_parameters(target_g, target_m, epsilon)
+    for eps_index, (epsilon, params) in enumerate(zip(epsilon_list, designs)):
 
         def run_dataset(dataset_index, _eps_index=eps_index, _params=params):
             dataset, _ = simulate_dataset(_params, n, q,
                                           seed=derive_seed(seed, _eps_index, dataset_index, 0))
             for t_count in range(1, t_cap + 1):
-                result = select_model(dataset, g_max, m_max, prior, restarts=t_count,
+                result = select_model(dataset, g_max, m_max, restarts=t_count,
                                       seed=derive_seed(seed, _eps_index, dataset_index, t_count),
-                                      gibbs_sweeps=gibbs_sweeps, max_iter=max_iter, tol=tol)
+                                      **fit_options)
                 if result.best_pair == (target_g, target_m):
                     return t_count, False
             return t_cap, True
@@ -242,25 +236,24 @@ class ReferenceStudy:
         return len(self.occurrence_indices)
 
 
-def reference_model_study(data, grid, prior=PriorHyperparams(), runs=1, seed=0, *,
-                          gibbs_sweeps=DEFAULT_GIBBS_SWEEPS, max_iter=DEFAULT_MAX_ITER,
-                          tol=DEFAULT_TOL, threads=1):
+def reference_model_study(data, grid, *, runs=1, seed=0, threads=1, **fit_options):
     """Repeat single-restart grid selection and study when the best-ICL
     selection reappears.
 
     Run k derives its stream from (seed, k); the reference pair is the pair
     selected by the run attaining the maximal ICL (earliest run on exact
     ties), and the inter-arrival summary describes the 1-based gaps between
-    the runs that selected it.
+    the runs that selected it.  The remaining keywords (``prior``,
+    ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to :func:`fit`,
+    with its defaults.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
     g_max, m_max = grid
 
     def run_once(run_index):
-        result = select_model(data, g_max, m_max, prior, restarts=1,
-                              seed=derive_seed(seed, run_index),
-                              gibbs_sweeps=gibbs_sweeps, max_iter=max_iter, tol=tol)
+        result = select_model(data, g_max, m_max, restarts=1,
+                              seed=derive_seed(seed, run_index), **fit_options)
         return result.best_pair, result.best_fit.icl_value
 
     outcomes = ordered_map(run_once, range(runs), threads=threads)

@@ -55,7 +55,7 @@ def run_selection_batch(epsilon, count, master_seed):
     pairs = []
     for i in range(count):
         data, _ = simulate_dataset(params, 137, 33, seed=derive_seed(master_seed, i, 0))
-        selection = select_model(data, 7, 7, PRIOR, restarts=1,
+        selection = select_model(data, 7, 7, prior=PRIOR, restarts=1,
                                  seed=derive_seed(master_seed, i, 1))
         pairs.append(selection.best_pair)
     return pairs

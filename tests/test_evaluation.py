@@ -3,7 +3,6 @@ import pytest
 
 from binlbm import (
     BinaryDataMatrix,
-    InfeasibleSampleError,
     PriorHyperparams,
     ValidationError,
     best_match,
@@ -140,7 +139,7 @@ class TestStratifiedSubsample:
     def test_largest_remainder_allocation(self):
         # 20 rows over three equal proportions: quotas 6.67 each, two +1 of
         # the remainder go to the first two groups
-        allocation = _largest_remainder(np.full(3, 1 / 3), 20)
+        allocation = _largest_remainder(np.full(3, 1 / 3), 20, np.full(3, 20))
         assert allocation.tolist() == [7, 7, 6]
 
     def test_allocations_sum_exactly(self):
@@ -149,7 +148,26 @@ class TestStratifiedSubsample:
             g = int(rng.integers(1, 6))
             props = rng.dirichlet(np.ones(g))
             n_sub = int(rng.integers(1, 50))
-            assert int(_largest_remainder(props, n_sub).sum()) == n_sub
+            assert int(_largest_remainder(props, n_sub, np.full(g, n_sub)).sum()) == n_sub
+
+    def test_capped_surplus_goes_round_in_remainder_order(self):
+        # quotas 5, 3, 2 with no remainder, so the order is by index; group 0
+        # holds 2, and its 3 surplus rows go to groups 1, 2, 1
+        allocation = _largest_remainder(np.array([0.5, 0.3, 0.2]), 10, np.array([2, 9, 9]))
+        assert allocation.tolist() == [2, 5, 3]
+
+    def test_cap_keeps_feasible_allocations(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            g = int(rng.integers(1, 6))
+            props = rng.dirichlet(np.ones(g))
+            sizes = rng.integers(1, 30, size=g)
+            n_sub = int(rng.integers(1, sizes.sum() + 1))
+            free = _largest_remainder(props, n_sub, np.full(g, n_sub))
+            capped = _largest_remainder(props, n_sub, sizes)
+            assert int(capped.sum()) == n_sub and np.all(capped <= sizes)
+            if np.all(free <= sizes):
+                assert np.array_equal(capped, free)
 
     def test_determinism(self):
         params = staircase_parameters(3, 4, 0.1)
@@ -159,11 +177,14 @@ class TestStratifiedSubsample:
         assert np.array_equal(first[2], second[2])
         assert np.array_equal(first[0].values, second[0].values)
 
-    def test_infeasible_allocation(self):
+    def test_allocation_capped_at_group_sizes(self):
+        # quotas 9 and 1, but group 0 holds 2 rows: it gives both, and
+        # group 1 gives the other 8
         data = BinaryDataMatrix(np.zeros((20, 4), dtype=int))
         ref = np.array([0] * 2 + [1] * 18)
-        with pytest.raises(InfeasibleSampleError):
-            stratified_subsample(data, ref, np.array([0.9, 0.1]), 10, seed=0)
+        _, labels, rows = stratified_subsample(data, ref, np.array([0.9, 0.1]), 10, seed=0)
+        assert np.bincount(labels).tolist() == [2, 8]
+        assert rows[:2].tolist() == [0, 1]
 
     def test_labels_follow_selected_rows(self):
         params = staircase_parameters(2, 2, 0.2)
@@ -235,6 +256,15 @@ class TestRobustnessExperiment:
         with pytest.raises(ValidationError, match="best_match"):
             robustness_experiment([0.1], 1, [20], 1, grid=(MAX_MATCH_GROUPS + 1, 4),
                                   n=60, q=24)
+
+    def test_invalid_epsilon_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a data set before checking every epsilon")
+
+        monkeypatch.setattr(evaluation, "simulate_dataset", no_simulation)
+        with pytest.raises(ValidationError, match="epsilon"):
+            robustness_experiment([0.1, 1.5], 1, [5], 1, grid=(1, 1), target_pair=(1, 1),
+                                  n=10, q=5)
 
     def test_repeated_epsilons_and_sizes_keep_their_cells(self):
         report = robustness_experiment([0.1, 0.1], 1, [12, 16, 12], 1, grid=(2, 2),

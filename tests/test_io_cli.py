@@ -17,9 +17,11 @@ from binlbm import (
     reference_model_study,
     robustness_experiment,
     select_model,
+    stratified_subsample,
     tune_restarts,
     write_matrix_csv,
 )
+from binlbm import evaluation
 from binlbm.cli import build_parser, main
 from binlbm.inference import (
     DEFAULT_GIBBS_SWEEPS,
@@ -262,6 +264,23 @@ class TestCli:
         assert cell["n"] == 20
         assert sum(entry["count"] for entry in cell["pairs"]) == 2
 
+    def test_robustness_sample_of_every_row(self, tmp_path, monkeypatch):
+        # this data set's allocation asks group 1 for one row more than it
+        # holds; the row goes to another group and the subsample is the data
+        taken = []
+
+        def recording(*args, **kwargs):
+            result = stratified_subsample(*args, **kwargs)
+            taken.append(result[2])
+            return result
+
+        monkeypatch.setattr(evaluation, "stratified_subsample", recording)
+        out = tmp_path / "rob.json"
+        assert self.run("robustness", "--epsilon", 0.15, "--datasets", 1, "--sizes", 137,
+                        "--samples-per-size", 1, "--seed", 5, "--out", out) == 0
+        assert len(taken) == 1 and np.array_equal(taken[0], np.arange(137))
+        assert json.loads(out.read_text())["cells"][0]["n"] == 137
+
     def test_reorder_command(self, tmp_path):
         data_path = tmp_path / "d.csv"
         self.run("simulate", "--epsilon", 0.1, "--g", 2, "--m", 2, "--n", 18,
@@ -362,10 +381,13 @@ class TestCliDeclarations:
         assert {k: parsed[k] for k in shared} == {k: constants[k] for k in shared}
         if library is None:
             return
+        # the study drivers pass the chain settings through to fit, so a
+        # setting the library function does not declare is fit's
         params = inspect.signature(library).parameters
+        chain = inspect.signature(fit).parameters
         for dest in ("restarts", "seed", "threads", "n", "q", "t_cap", "target", "gibbs_sweeps",
                      "max_iter", "tol"):
-            param = params.get("target_pair" if dest == "target" else dest)
+            param = params.get("target_pair" if dest == "target" else dest, chain.get(dest))
             if dest in parsed and param is not None and param.default is not param.empty:
                 assert parsed[dest] == param.default, dest
-        assert params["prior"].default == PriorHyperparams(a=parsed["a"], b=parsed["b"])
+        assert chain["prior"].default == PriorHyperparams(a=parsed["a"], b=parsed["b"])

@@ -10,12 +10,14 @@ from binlbm import (
     icl,
     inter_arrivals,
     reference_model_study,
+    robustness_experiment,
     select_model,
     simulate_dataset,
     staircase_parameters,
     summarize_inter_arrivals,
     tune_restarts,
 )
+from binlbm import selection
 from binlbm.selection import _argmax_icl
 from binlbm.rng import derive_seed
 from oracles import INTER_ARRIVAL_GAPS
@@ -28,7 +30,7 @@ class TestSelectModel:
         # with no structure the one-block model maximizes the ICL; confirm by
         # evaluating every fitted cell, not just trusting the argmax
         data = BinaryDataMatrix(np.zeros((20, 10), dtype=int))
-        selection = select_model(data, 3, 3, PRIOR, restarts=1, seed=5)
+        selection = select_model(data, 3, 3, prior=PRIOR, restarts=1, seed=5)
         assert selection.best_pair == (1, 1)
         single = selection.cell(1, 1)
         assert all(fr.icl_value <= single.icl_value for _, _, fr in selection.grid)
@@ -40,27 +42,27 @@ class TestSelectModel:
         params = staircase_parameters(3, 4, 0.05)
         for s in (0, 1):
             data, _ = simulate_dataset(params, 137, 33, seed=derive_seed(42, s))
-            selection = select_model(data, 7, 7, PRIOR, restarts=1, seed=derive_seed(43, s))
+            selection = select_model(data, 7, 7, prior=PRIOR, restarts=1, seed=derive_seed(43, s))
             assert selection.best_pair == (3, 4)
 
     def test_singleton_grid(self):
         data = BinaryDataMatrix(np.eye(4, dtype=int))
-        selection = select_model(data, 1, 1, PRIOR, restarts=1, seed=0)
+        selection = select_model(data, 1, 1, prior=PRIOR, restarts=1, seed=0)
         assert selection.best_pair == (1, 1)
         assert len(selection.grid) == 1
 
     def test_best_dominates_grid(self):
         params = staircase_parameters(2, 2, 0.2)
         data, _ = simulate_dataset(params, 30, 14, seed=8)
-        selection = select_model(data, 3, 3, PRIOR, restarts=1, seed=9)
+        selection = select_model(data, 3, 3, prior=PRIOR, restarts=1, seed=9)
         assert all(fr.icl_value <= selection.best_fit.icl_value
                    for _, _, fr in selection.grid)
 
     def test_thread_schedule_independence(self):
         params = staircase_parameters(2, 3, 0.15)
         data, _ = simulate_dataset(params, 40, 16, seed=2)
-        serial = select_model(data, 3, 3, PRIOR, restarts=2, seed=7, threads=1)
-        threaded = select_model(data, 3, 3, PRIOR, restarts=2, seed=7, threads=4)
+        serial = select_model(data, 3, 3, prior=PRIOR, restarts=2, seed=7, threads=1)
+        threaded = select_model(data, 3, 3, prior=PRIOR, restarts=2, seed=7, threads=4)
         assert serial.best_pair == threaded.best_pair
         for (g1, m1, f1), (g2, m2, f2) in zip(serial.grid, threaded.grid):
             assert (g1, m1) == (g2, m2)
@@ -79,7 +81,7 @@ class TestSelectModel:
     def test_grid_bounds_validated(self):
         data = BinaryDataMatrix(np.zeros((2, 2), dtype=int))
         with pytest.raises(ValidationError):
-            select_model(data, 0, 1, PRIOR)
+            select_model(data, 0, 1, prior=PRIOR)
 
     def test_cell_error_keeps_its_type(self):
         data = BinaryDataMatrix(np.zeros((2, 2), dtype=int))
@@ -106,8 +108,8 @@ class TestTuneRestarts:
         assert record.stop_t[1] == 2 and not record.censored[1]
         params = staircase_parameters(3, 4, 0.22)
         data, _ = simulate_dataset(params, 80, 30, seed=derive_seed(3, 0, 1, 0))
-        at_one = select_model(data, 4, 5, PRIOR, restarts=1, seed=derive_seed(3, 0, 1, 1))
-        at_two = select_model(data, 4, 5, PRIOR, restarts=2, seed=derive_seed(3, 0, 1, 2))
+        at_one = select_model(data, 4, 5, prior=PRIOR, restarts=1, seed=derive_seed(3, 0, 1, 1))
+        at_two = select_model(data, 4, 5, prior=PRIOR, restarts=2, seed=derive_seed(3, 0, 1, 2))
         assert at_one.best_pair != (3, 4)
         assert at_two.best_pair == (3, 4)
 
@@ -123,6 +125,14 @@ class TestTuneRestarts:
     def test_target_outside_grid_rejected(self):
         with pytest.raises(ValidationError):
             tune_restarts([0.1], 1, target_pair=(5, 5), grid=(4, 4), t_cap=1, seed=0)
+
+    def test_invalid_epsilon_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a data set before checking every epsilon")
+
+        monkeypatch.setattr(selection, "simulate_dataset", no_simulation)
+        with pytest.raises(ValidationError, match="epsilon"):
+            tune_restarts([0.05, 1.5], 1, target_pair=(1, 1), grid=(1, 1), t_cap=1)
 
     def test_thread_schedule_independence(self):
         kwargs = dict(datasets_per_eps=3, target_pair=(3, 4), grid=(4, 4),
@@ -165,7 +175,7 @@ class TestReferenceStudy:
     def test_stable_case_all_gaps_one(self):
         params = staircase_parameters(2, 2, 0.05)
         data, _ = simulate_dataset(params, 40, 16, seed=13)
-        study = reference_model_study(data, (2, 2), PRIOR, runs=6, seed=17)
+        study = reference_model_study(data, (2, 2), prior=PRIOR, runs=6, seed=17)
         assert len(set(study.selected_pairs)) == 1
         assert study.occurrence_indices == (1, 2, 3, 4, 5, 6)
         gaps = inter_arrivals(study.occurrence_indices)
@@ -174,7 +184,7 @@ class TestReferenceStudy:
 
     def test_single_run_degenerate(self):
         data = BinaryDataMatrix(np.eye(5, dtype=int))
-        study = reference_model_study(data, (2, 2), PRIOR, runs=1, seed=3)
+        study = reference_model_study(data, (2, 2), prior=PRIOR, runs=1, seed=3)
         assert study.runs == 1
         assert study.occurrence_indices == (1,)
         assert study.inter_arrival_summary.median == 1.0
@@ -182,11 +192,11 @@ class TestReferenceStudy:
     def test_reference_is_max_icl_run(self):
         params = staircase_parameters(3, 3, 0.25)
         data, _ = simulate_dataset(params, 50, 20, seed=23)
-        study = reference_model_study(data, (3, 3), PRIOR, runs=5, seed=29)
+        study = reference_model_study(data, (3, 3), prior=PRIOR, runs=5, seed=29)
         # replay every run and check the reference attains the maximum ICL
         best = None
         for k in range(5):
-            sel = select_model(data, 3, 3, PRIOR, restarts=1, seed=derive_seed(29, k))
+            sel = select_model(data, 3, 3, prior=PRIOR, restarts=1, seed=derive_seed(29, k))
             if best is None or sel.best_fit.icl_value > best[1]:
                 best = (sel.best_pair, sel.best_fit.icl_value)
         assert study.reference_pair == best[0]
@@ -195,8 +205,31 @@ class TestReferenceStudy:
     def test_thread_schedule_independence(self):
         params = staircase_parameters(2, 2, 0.1)
         data, _ = simulate_dataset(params, 30, 12, seed=31)
-        serial = reference_model_study(data, (2, 2), PRIOR, runs=4, seed=37, threads=1)
-        threaded = reference_model_study(data, (2, 2), PRIOR, runs=4, seed=37, threads=4)
+        serial = reference_model_study(data, (2, 2), prior=PRIOR, runs=4, seed=37, threads=1)
+        threaded = reference_model_study(data, (2, 2), prior=PRIOR, runs=4, seed=37, threads=4)
         assert serial.selected_pairs == threaded.selected_pairs
         assert serial.reference_pair == threaded.reference_pair
         assert serial.occurrence_indices == threaded.occurrence_indices
+
+
+# each study driver on a single-cell grid, with its positional arguments
+DRIVERS = {
+    "select_model": (select_model, (BinaryDataMatrix(np.eye(4, dtype=int)), 1, 1), {}),
+    "reference_model_study": (reference_model_study,
+                              (BinaryDataMatrix(np.eye(4, dtype=int)), (1, 1)), {}),
+    "tune_restarts": (tune_restarts, ([0.1], 1, (1, 1), (1, 1)), dict(t_cap=1, n=10, q=5)),
+    "robustness_experiment": (robustness_experiment, ([0.1], 1, [5], 1, (1, 1)),
+                              dict(target_pair=(1, 1), n=10, q=5)),
+}
+
+
+@pytest.mark.parametrize("name", DRIVERS)
+def test_driver_passes_chain_settings_to_fit(name):
+    driver, args, kwargs = DRIVERS[name]
+    with pytest.raises(ValidationError, match="tol must be > 0"):
+        driver(*args, tol=0.0, **kwargs)
+    with pytest.raises(TypeError, match="bogus"):
+        driver(*args, bogus=1, **kwargs)
+    # the prior is keyword-only: by position it binds to nothing
+    with pytest.raises(TypeError):
+        driver(*args, PRIOR, **kwargs)
