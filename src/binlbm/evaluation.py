@@ -19,7 +19,7 @@ from .errors import ExperimentError, LbmError, ValidationError
 from .model import BinaryDataMatrix, _check_labels, simulate_dataset, staircase_parameters
 from .parallel import ordered_map
 from .rng import derive_rng, derive_seed
-from .selection import _target_in_grid, select_model
+from .selection import _check_fit_options, _target_in_grid, select_model
 
 __all__ = [
     "MatchResult",
@@ -239,17 +239,18 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     sample size draw stratified subsamples, re-run the selection on each,
     tabulate the selected pair, and score the subsample's row partition
     against the reference labels of the sampled rows with
-    :func:`best_match`.  A grid of more than
-    ``MAX_MATCH_GROUPS`` row groups, or an invalid epsilon, is rejected
-    before any simulation.  The remaining keywords (``prior``, ``restarts``,
-    ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to :func:`fit`,
-    with its defaults.
+    :func:`best_match`.  A grid of more than ``MAX_MATCH_GROUPS`` row
+    groups, an invalid epsilon, or a keyword that :func:`fit` does not take,
+    is rejected before any simulation.  The remaining keywords (``prior``,
+    ``restarts``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to
+    :func:`fit`, with its defaults.
     """
     if datasets_per_eps < 1 or samples_per_size < 1:
         raise ValidationError("datasets_per_eps and samples_per_size must be >= 1")
     sample_sizes = [int(s) for s in sample_sizes]
     if any(s < 1 or s > n for s in sample_sizes):
         raise ValidationError(f"sample sizes must lie in [1, {n}]")
+    _check_fit_options(fit_options)
     g_max, m_max = grid
     if g_max > MAX_MATCH_GROUPS:
         raise ValidationError(

@@ -5,6 +5,7 @@ repeated-run reference-model study with its inter-arrival statistics.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,22 @@ def _target_in_grid(target_pair, grid):
     return target_g, target_m
 
 
+def _check_fit_options(fit_options, *passed):
+    """Raise TypeError, before any work starts, for a keyword the driver's
+    calls of :func:`fit` would refuse: one that fit does not take, or one in
+    ``passed``, which the driver sets itself.  ``fit`` is read from this
+    module's globals, as the calls read it, and ``inspect.signature`` sees
+    the real parameters through a ``functools.wraps`` wrapper bound there.
+    """
+    doubled = sorted(fit_options.keys() & set(passed))
+    if doubled:
+        raise TypeError(f"the driver sets {doubled[0]!r} for fit itself")
+    try:
+        inspect.signature(fit).bind(None, 1, 1, **fit_options)
+    except TypeError as exc:
+        raise TypeError(f"fit() {exc}") from None
+
+
 def select_model(data, g_max, m_max, *, seed=0, threads=1, **fit_options):
     """Fit every (g, m) in [1..g_max] x [1..m_max] and return the ICL argmax.
 
@@ -144,14 +161,15 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
     selection with T restarts, until the target pair is selected or ``t_cap``
     is reached (recorded as censored; censoring is a normal outcome).  A
     fresh data set is drawn only in the outer loop, never while T grows.
-    Every epsilon is checked before any data set is drawn.  The remaining
-    keywords (``prior``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go
-    unchanged to :func:`fit`, with its defaults.
+    Every epsilon, and every keyword for :func:`fit`, is checked before any
+    data set is drawn.  The remaining keywords (``prior``, ``gibbs_sweeps``,
+    ``max_iter``, ``tol``) go unchanged to :func:`fit`, with its defaults.
     """
     if t_cap < 1:
         raise ValidationError("t_cap must be >= 1")
     if datasets_per_eps < 1:
         raise ValidationError("datasets_per_eps must be >= 1")
+    _check_fit_options(fit_options, "restarts")
     g_max, m_max = grid
     target_g, target_m = _target_in_grid(target_pair, grid)
     designs = [staircase_parameters(target_g, target_m, epsilon) for epsilon in epsilon_list]

@@ -1,5 +1,7 @@
+import codecs
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from binlbm import (
     write_matrix_csv,
 )
 from binlbm import evaluation
+from binlbm import io as lbm_io
 from binlbm.cli import build_parser, main
 from binlbm.inference import (
     DEFAULT_GIBBS_SWEEPS,
@@ -131,6 +134,181 @@ class TestLoadMatrix:
         assert path.read_bytes() == b"a,b,c\n0,1,1\n1,0,0\n"
         write_matrix_csv(data, path)
         assert path.read_bytes() == b"0,1,1\n1,0,0\n"
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"caf\xe9,b\n0,1\n1,0\n", 1),
+        (b"a,b\r\n0,1\r\n1,\xff\r\n", 3),
+        (b"\xef\xbb\xbf0,1\n\n1,\xc3\n", 3),
+        (b"0,1\r1,0\r\x85,1\r", 3),
+    ], ids=["header", "crlf-body", "bom-truncated", "bare-cr"])
+    def test_undecodable_byte_location(self, tmp_path, raw, line):
+        path = tmp_path / "m.csv"
+        path.write_bytes(raw)
+        with pytest.raises(MatrixParseError, match="is not UTF-8") as info:
+            load_matrix(path)
+        assert info.value.line == line
+        assert f"at row {line} " in str(info.value)
+
+
+# the fixed inputs of the TestLoadMatrix cases above
+LOAD_MATRIX_INPUTS = [
+    b"0,1\n1,0\n", b"item1,item2\n1,1\n", b"0,1,1\n1,0,1\n\n", b"0,1,O\n1,0,1\n0,0,1\n",
+    "\ufeff0,1,1\r\n1,0,1\r\n".encode(), "\ufeffitem1,item2,item3\r\n0,1,1\r\n".encode(),
+    b"0,1\r\n1,0\r\n", b"0,2\n1,0\n", b"a,b\n1,x\n", b"0,1\n1\n", b"", b"x,y\n",
+    b"a,b,c\n0,1,1\n1,0,0\n", b"0,1,1\n1,0,0\n", b"caf\xe9,b\n0,1\n1,0\n",
+    b"a,b\r\n0,1\r\n1,\xff\r\n", b"\xef\xbb\xbf0,1\n\n1,\xc3\n", b"0,1\r1,0\r\x85,1\r",
+]
+
+# bytes a mutation puts into a canonical file: cell and line characters,
+# whitespace, number syntax, str.splitlines breaks and bytes that are not UTF-8
+FUZZ_BYTES = [bytes([b]) for b in b"01,\n\r \t.+-eOx2\x0b\x0c\x1c"] + [
+    "\x85".encode(), "\u2028".encode(), b"\xe9", b"\xff"]
+
+
+class TestCanonicalDecode:
+    """The one-pass decode of canonical files against the per-cell parser.
+
+    ``per_cell_load_matrix`` is ``load_matrix`` as it was before the
+    vectorized decode: every file must give its matrix, or its error type,
+    message and coordinates.  A file that is not UTF-8 made it raise
+    ``UnicodeDecodeError``; it is now a ``MatrixParseError``.
+    """
+
+    @staticmethod
+    def per_cell_load_matrix(path):
+        def is_number(token):
+            try:
+                float(token)
+            except ValueError:
+                return False
+            return True
+
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+        while lines and not lines[-1].strip():
+            lines.pop()
+        if not lines:
+            raise MatrixParseError(f"{path}: file is empty")
+        first_tokens = [t.strip() for t in lines[0].split(",")]
+        start = 0 if any(is_number(t) for t in first_tokens) else 1
+        if start == len(lines):
+            raise MatrixParseError(f"{path}: no data rows after the header")
+        rows = []
+        width = None
+        for line_number, line in enumerate(lines[start:], start=start + 1):
+            tokens = line.split(",")
+            if width is None:
+                width = len(tokens)
+            elif len(tokens) != width:
+                raise MatrixParseError(
+                    f"{path}: row {line_number} has {len(tokens)} values, expected {width}",
+                    line=line_number)
+            row = []
+            for column, token in enumerate(tokens, start=1):
+                stripped = token.strip()
+                if not is_number(stripped):
+                    raise MatrixParseError(
+                        f"{path}: non-numeric value {stripped!r} at row {line_number}, "
+                        f"column {column}", line=line_number, column=column)
+                value = float(stripped)
+                if value not in (0.0, 1.0):
+                    raise MatrixParseError(
+                        f"{path}: non-binary value {stripped!r} at row {line_number}, "
+                        f"column {column}", line=line_number, column=column)
+                row.append(int(value))
+            rows.append(row)
+        return BinaryDataMatrix(np.array(rows, dtype=np.int8))
+
+    def assert_same_as_per_cell(self, path):
+        try:
+            expected = self.per_cell_load_matrix(path).values
+        except UnicodeDecodeError:
+            with pytest.raises(MatrixParseError, match="is not UTF-8"):
+                load_matrix(path)
+        except MatrixParseError as error:
+            with pytest.raises(MatrixParseError) as info:
+                load_matrix(path)
+            assert (str(info.value), info.value.line, info.value.column) == (
+                str(error), error.line, error.column)
+        else:
+            values = load_matrix(path).values
+            assert values.dtype == expected.dtype and np.array_equal(values, expected)
+
+    @staticmethod
+    def near_canonical(rng):
+        n, q = int(rng.integers(1, 5)), int(rng.choice([1, 2, 3, 6]))
+        lines = [",".join(map(str, row)) for row in rng.integers(0, 2, size=(n, q))]
+        if rng.random() < 0.5:
+            lines.insert(0, ",".join(f"item{j + 1}" for j in range(q)))
+        newline = "\r\n" if rng.random() < 0.3 else "\n"
+        text = newline.join(lines) + newline * int(rng.integers(1, 4))
+        raw = (("\ufeff" if rng.random() < 0.2 else "") + text).encode()
+        for _ in range(int(rng.integers(0, 3))):
+            at = int(rng.integers(0, len(raw) + 1))
+            kind = rng.integers(0, 7)
+            if kind == 0:  # flip a byte
+                raw = raw[:at] + FUZZ_BYTES[rng.integers(len(FUZZ_BYTES))] + raw[at + 1:]
+            elif kind == 1:  # insert a byte
+                raw = raw[:at] + FUZZ_BYTES[rng.integers(len(FUZZ_BYTES))] + raw[at:]
+            elif kind == 2:  # delete a byte
+                raw = raw[:at] + raw[at + 1:]
+            elif kind == 3:  # spaces around a cell
+                cell = raw.find(b"1", at)
+                raw = raw[:cell] + b" 1 " + raw[cell + 1:] if cell >= 0 else raw
+            elif kind == 4:  # CR-only line endings
+                raw = raw.replace(b"\r\n", b"\n").replace(b"\n", b"\r")
+            elif kind == 5:  # a str.splitlines break inside the first line
+                raw = raw.replace(b"1", rng.choice(["\x85", "\u2028", "\x0b"]).encode() + b"1",
+                                  1)
+            else:  # no final line break
+                raw = raw.rstrip(b"\r\n")
+        return raw
+
+    @pytest.mark.parametrize("raw", LOAD_MATRIX_INPUTS)
+    def test_load_matrix_inputs(self, tmp_path, raw):
+        path = tmp_path / "m.csv"
+        path.write_bytes(raw)
+        self.assert_same_as_per_cell(path)
+
+    def test_fuzzed_near_canonical_files(self, tmp_path, monkeypatch):
+        deferred = []
+
+        def counting(*args):
+            deferred.append(args[0])
+            return per_cell(*args)
+
+        per_cell = lbm_io._parse_cells
+        monkeypatch.setattr(lbm_io, "_parse_cells", counting)
+        rng = np.random.default_rng(20240901)
+        cases = 400
+        for case in range(cases):
+            path = tmp_path / f"f{case}.csv"
+            path.write_bytes(self.near_canonical(rng))
+            self.assert_same_as_per_cell(path)
+        # both paths ran, each on many files
+        assert 50 < len(deferred) < cases - 50
+
+    def test_canonical_files_skip_the_per_cell_parser(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"{args[0]} reached the per-cell parser")
+
+        monkeypatch.setattr(lbm_io, "_parse_cells", refuse)
+        rng = np.random.default_rng(6)
+        for q in (1, 2, 5):
+            data = BinaryDataMatrix(rng.integers(0, 2, size=(7, q)))
+            for header in (None, [f"item{j + 1}" for j in range(q)]):
+                path = tmp_path / f"m{q}.csv"
+                write_matrix_csv(data, path, header=header)
+                written = path.read_bytes()
+                for raw in (written, codecs.BOM_UTF8 + written,
+                            written.replace(b"\n", b"\r\n"), written + b"\n\n"):
+                    path.write_bytes(raw)
+                    assert np.array_equal(load_matrix(path).values, data.values)
+        params = LBMParameters(2, 2, [0.5, 0.5], [0.5, 0.5], [[0.2, 0.7], [0.6, 0.3]])
+        data = BinaryDataMatrix(rng.integers(0, 2, size=(6, 4)))
+        z, w = np.array([1, 0, 1, 0, 0, 1]), np.array([1, 0, 0, 1])
+        matrix_path, _ = export_reordered(data, make_fit_result(params, z, w), tmp_path / "re")
+        assert np.array_equal(load_matrix(matrix_path).values,
+                              data.values[np.argsort(z, kind="stable")][:, [1, 2, 0, 3]])
 
 
 class TestExportReordered:
@@ -303,6 +481,17 @@ class TestCli:
                         "--out", tmp_path / "o.json")
         assert code == 1
         assert "row 1, column 2" in capsys.readouterr().err
+
+    def test_undecodable_byte_is_reported(self, tmp_path, capsys):
+        data_path = tmp_path / "latin1.csv"
+        data_path.write_bytes(b"caf\xe9,b\n0,1\n1,0\n")
+        code = self.run("fit", "--data", data_path, "--g", 1, "--m", 1,
+                        "--out", tmp_path / "o.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "byte 0xe9 at row 1 is not UTF-8" in err
+        assert not (tmp_path / "o.json").exists()
 
     def test_unknown_flag_exits_with_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:

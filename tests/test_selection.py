@@ -1,3 +1,4 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from binlbm import (
     summarize_inter_arrivals,
     tune_restarts,
 )
-from binlbm import selection
+from binlbm import evaluation, selection
 from binlbm.selection import _argmax_icl
 from binlbm.rng import derive_seed
 from oracles import INTER_ARRIVAL_GAPS
@@ -233,3 +234,39 @@ def test_driver_passes_chain_settings_to_fit(name):
     # the prior is keyword-only: by position it binds to nothing
     with pytest.raises(TypeError):
         driver(*args, PRIOR, **kwargs)
+
+
+# the drivers that draw data sets before their first fit call
+SIMULATING = {"tune_restarts": selection, "robustness_experiment": evaluation}
+
+
+@pytest.mark.parametrize("name", SIMULATING)
+def test_bad_chain_keyword_rejected_before_simulating(name, monkeypatch):
+    driver, args, kwargs = DRIVERS[name]
+    drawn = []
+    monkeypatch.setattr(SIMULATING[name], "simulate_dataset",
+                        lambda *a, **k: drawn.append(a) or simulate_dataset(*a, **k))
+    with pytest.raises(TypeError, match="bogus"):
+        driver(*args, bogus=1, **kwargs)
+    if name == "tune_restarts":
+        # it sets restarts itself, at every T
+        with pytest.raises(TypeError, match="restarts"):
+            driver(*args, restarts=2, **kwargs)
+    assert drawn == []
+
+    # fit is checked as the calls find it, so a functools.wraps wrapper bound
+    # in its place, as a tracer binds one, keeps the real parameters
+    calls = []
+    real_fit = selection.fit
+
+    @functools.wraps(real_fit)
+    def traced(*a, **k):
+        calls.append(a[1:3])
+        return real_fit(*a, **k)
+
+    monkeypatch.setattr(selection, "fit", traced)
+    with pytest.raises(TypeError, match="bogus"):
+        driver(*args, bogus=1, **kwargs)
+    assert drawn == [] and calls == []
+    driver(*args, gibbs_sweeps=2, **kwargs)
+    assert drawn and calls
