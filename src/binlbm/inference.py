@@ -44,6 +44,9 @@ _CLAMP = 1e-12
 DEFAULT_GIBBS_SWEEPS = 100
 DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-6
+# from this many items per draw, summing the label CDF one group row at a time
+# beats np.add.accumulate; on narrower draws the per-row calls cost more
+_ROW_CDF_MIN_ITEMS = 256
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,15 @@ def _sample_labels(rng, logits):
     probs = np.exp(logits - np.maximum.reduce(logits, axis=0))
     probs /= np.add.reduce(probs, axis=0)
     u = rng.random(logits.shape[1])
-    idx = np.add.reduce(np.add.accumulate(probs, axis=0) < u, axis=0)
+    if logits.shape[1] >= _ROW_CDF_MIN_ITEMS:
+        # accumulate runs the short group axis as its inner loop; a running sum
+        # over whole group rows adds the same terms in the same order
+        for k in range(1, probs.shape[0]):
+            np.add(probs[k - 1], probs[k], out=probs[k])
+        cdf = probs
+    else:
+        cdf = np.add.accumulate(probs, axis=0)
+    idx = np.add.reduce(cdf < u, axis=0)
     return np.minimum(idx, logits.shape[0] - 1)
 
 
@@ -126,6 +137,12 @@ def _sample_parameters(rng, n1, row_sizes, col_sizes, prior):
     rho = rng.dirichlet(col_sizes + prior.a)
     alpha = rng.beta(n1 + prior.b, n0 + prior.b)
     return pi, rho, alpha
+
+
+def _ones_by_group(hot, y):
+    # one-hot labels (groups x rows of y) times y: each group's exact count of
+    # ones in every column of y; the only pass a Gibbs sweep makes over y
+    return hot @ y
 
 
 def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS, seed=0):
@@ -146,27 +163,34 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
     rng = derive_rng(seed)
     y = data.values.astype(float)
     # group-major one-hot labels: every label likelihood and block tally is a
-    # product with exact integer counts of ones, two passes over y per sweep
+    # product with exact integer counts of ones.  A sweep passes over y at most
+    # twice: a side whose labels did not move keeps its one-hot, sizes and
+    # counts, which are the same exact integers a recount would give
     row_eye, col_eye = np.eye(g), np.eye(m)
     z = rng.integers(0, g, size=data.n)
     w = rng.integers(0, m, size=data.q)
     z_hot, w_hot = row_eye.take(z, axis=1), col_eye.take(w, axis=1)
     row_sizes, col_sizes = np.bincount(z, minlength=g), np.bincount(w, minlength=m)
-    ones_by_rowgroup = z_hot @ y
+    ones_by_rowgroup = _ones_by_group(z_hot, y)
+    ones_by_colgroup = _ones_by_group(w_hot, y.T)
     pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
                                         row_sizes, col_sizes, prior)
     for _ in range(sweeps):
         log1, log0 = _log_rate_tables(alpha)
-        ones_by_colgroup = w_hot @ y.T
-        z = _sample_labels(rng, _safe_log(pi)[:, None] + (
+        z_new = _sample_labels(rng, _safe_log(pi)[:, None] + (
             log1 @ ones_by_colgroup + log0 @ (col_sizes[:, None] - ones_by_colgroup)))
-        z_hot = row_eye.take(z, axis=1)
-        row_sizes = np.bincount(z, minlength=g)
-        ones_by_rowgroup = z_hot @ y
-        w = _sample_labels(rng, _safe_log(rho)[:, None] + (
+        if z_new.tobytes() != z.tobytes():
+            z = z_new
+            z_hot = row_eye.take(z, axis=1)
+            row_sizes = np.bincount(z, minlength=g)
+            ones_by_rowgroup = _ones_by_group(z_hot, y)
+        w_new = _sample_labels(rng, _safe_log(rho)[:, None] + (
             log1.T @ ones_by_rowgroup + log0.T @ (row_sizes[:, None] - ones_by_rowgroup)))
-        w_hot = col_eye.take(w, axis=1)
-        col_sizes = np.bincount(w, minlength=m)
+        if w_new.tobytes() != w.tobytes():
+            w = w_new
+            w_hot = col_eye.take(w, axis=1)
+            col_sizes = np.bincount(w, minlength=m)
+            ones_by_colgroup = _ones_by_group(w_hot, y.T)
         pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
                                             row_sizes, col_sizes, prior)
     return LBMParameters(g, m, pi, rho, alpha), CoPartition(z, w, g, m)

@@ -71,7 +71,7 @@ class BinaryDataMatrix:
         values = np.asarray(self.values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValidationError("data matrix must be 2-d with at least one row and one column")
-        if not np.isin(values, (0, 1)).all():
+        if not ((values == 0) | (values == 1)).all():
             raise ValidationError("data matrix cells must all be 0 or 1")
         _freeze(self, "values", values.astype(np.int8, copy=True))
 

@@ -24,11 +24,15 @@ from binlbm.inference import (
     DEFAULT_GIBBS_SWEEPS,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _log_rate_tables,
     _one_hot,
     _row_softmax,
     _run_chain,
+    _safe_log,
     _sample_labels,
+    _sample_parameters,
 )
+from binlbm.model import CoPartition
 from binlbm.rng import derive_rng, derive_seed
 from oracles import free_energy_bruteforce, tau_update_oracle
 
@@ -139,6 +143,113 @@ class TestCountSweep:
                 assert np.array_equal(params.alpha, alpha), (g, m)
 
 
+def accumulate_sample_labels(rng, logits):
+    """The label draw before the row-by-row CDF, kept as the oracle: one
+    ``np.add.accumulate`` over the groups at every width."""
+    probs = np.exp(logits - np.maximum.reduce(logits, axis=0))
+    probs /= np.add.reduce(probs, axis=0)
+    u = rng.random(logits.shape[1])
+    idx = np.add.reduce(np.add.accumulate(probs, axis=0) < u, axis=0)
+    return np.minimum(idx, logits.shape[0] - 1)
+
+
+def recount_every_sweep_gibbs(data, g, m, prior=PRIOR, sweeps=DEFAULT_GIBBS_SWEEPS, seed=0):
+    """``gibbs_init`` before the recount skip, kept as the oracle: both count
+    products are recomputed in every sweep, moved labels or not."""
+    if sweeps < 1:
+        raise ValidationError("sweeps must be >= 1")
+    if g < 1 or m < 1:
+        raise ValidationError("g and m must be >= 1")
+    rng = derive_rng(seed)
+    y = data.values.astype(float)
+    row_eye, col_eye = np.eye(g), np.eye(m)
+    z = rng.integers(0, g, size=data.n)
+    w = rng.integers(0, m, size=data.q)
+    z_hot, w_hot = row_eye.take(z, axis=1), col_eye.take(w, axis=1)
+    row_sizes, col_sizes = np.bincount(z, minlength=g), np.bincount(w, minlength=m)
+    ones_by_rowgroup = z_hot @ y
+    pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
+                                        row_sizes, col_sizes, prior)
+    for _ in range(sweeps):
+        log1, log0 = _log_rate_tables(alpha)
+        ones_by_colgroup = w_hot @ y.T
+        z = accumulate_sample_labels(rng, _safe_log(pi)[:, None] + (
+            log1 @ ones_by_colgroup + log0 @ (col_sizes[:, None] - ones_by_colgroup)))
+        z_hot = row_eye.take(z, axis=1)
+        row_sizes = np.bincount(z, minlength=g)
+        ones_by_rowgroup = z_hot @ y
+        w = accumulate_sample_labels(rng, _safe_log(rho)[:, None] + (
+            log1.T @ ones_by_rowgroup + log0.T @ (row_sizes[:, None] - ones_by_rowgroup)))
+        w_hot = col_eye.take(w, axis=1)
+        col_sizes = np.bincount(w, minlength=m)
+        pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
+                                            row_sizes, col_sizes, prior)
+    return LBMParameters(g, m, pi, rho, alpha), CoPartition(z, w, g, m)
+
+
+class TestRecountSkip:
+    """A side whose labels did not move keeps its block counts, and draws
+    over 256 or more items sum their CDF row by row; neither may change a
+    single draw, so the chain must equal the oracle bit for bit."""
+
+    # (n, q, simulated g, simulated m, epsilon, fitted g, fitted m, prior b).
+    # 280 rows and 140 columns put the two draws on either side of the
+    # 256-item cut; b = 0.5 with 7x7 groups on 137x33 leaves empty blocks,
+    # whose Beta(b, b) draws take numpy's Johnk branch; the clean 300x260
+    # staircase settles, so both sides skip their recount in most sweeps
+    CASES = [
+        (280, 140, 3, 4, 0.2, 3, 4, 0.5),
+        (280, 140, 3, 4, 0.2, 3, 4, 1.0),
+        (280, 140, 3, 4, 0.2, 3, 4, 2.0),
+        (137, 33, 3, 4, 0.28, 7, 7, 0.5),
+        (137, 33, 3, 4, 0.28, 1, 1, 1.0),
+        (137, 33, 3, 4, 0.28, 1, 5, 1.0),
+        (280, 140, 3, 4, 0.2, 4, 1, 1.0),
+        (300, 260, 3, 4, 0.05, 3, 4, 1.0),
+    ]
+
+    @staticmethod
+    def staircase(n, q, g0, m0, epsilon):
+        return simulate_dataset(staircase_parameters(g0, m0, epsilon), n, q, seed=17)[0]
+
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = []
+        original = inference._ones_by_group
+
+        def counting(hot, y):
+            calls.append(hot.shape[0])
+            return original(hot, y)
+
+        monkeypatch.setattr(inference, "_ones_by_group", counting)
+        return calls
+
+    @pytest.mark.parametrize("n, q, g0, m0, epsilon, g, m, b", CASES)
+    def test_matches_recount_every_sweep(self, n, q, g0, m0, epsilon, g, m, b):
+        data = self.staircase(n, q, g0, m0, epsilon)
+        prior = PriorHyperparams(a=4.0, b=b)
+        for seed in (3, 4):
+            params, part = gibbs_init(data, g, m, prior, seed=seed)
+            ref_params, ref_part = recount_every_sweep_gibbs(data, g, m, prior, seed=seed)
+            for name in ("pi", "rho", "alpha"):
+                assert np.array_equal(getattr(params, name), getattr(ref_params, name)), name
+            assert np.array_equal(part.z, ref_part.z)
+            assert np.array_equal(part.w, ref_part.w)
+
+    def test_single_groups_count_only_once(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
+        gibbs_init(self.staircase(137, 33, 3, 4, 0.28), 1, 1, PRIOR, sweeps=50, seed=3)
+        assert calls == [1, 1]
+
+    def test_settled_staircase_skips_most_recounts(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
+        sweeps = 100
+        gibbs_init(self.staircase(300, 260, 3, 4, 0.05), 3, 4, PRIOR, sweeps=sweeps, seed=3)
+        # the two initial products, then one per sweep in which a side moved
+        assert calls[:2] == [3, 4]
+        assert len(calls) <= 2 * sweeps // 10
+
+
 class TestSampleLabels:
     # (groups, items): equal logits, a ramp, one dominant group, logits far
     # below zero, and an irregular column
@@ -189,6 +300,20 @@ class TestSampleLabels:
 
         labels = _sample_labels(TopUniform(), self.LOGITS[:, :1])
         assert labels.tolist() == [6] == self.longhand(self.LOGITS[:, :1], np.array([top]))
+        # the same at a width whose CDF is summed row by row
+        wide = np.zeros((7, 256))
+        labels = _sample_labels(TopUniform(), wide)
+        assert labels.tolist() == [6] * 256 == self.longhand(wide, np.full(256, top))
+
+    @pytest.mark.parametrize("items", [255, 256])
+    @pytest.mark.parametrize("groups", range(1, 9))
+    def test_matches_longhand_either_side_of_row_cdf_cut(self, groups, items):
+        # logits spread over a few units, so every group is drawn somewhere
+        logits = np.random.default_rng(groups).normal(scale=2.0, size=(groups, items))
+        for seed in range(3):
+            labels = _sample_labels(np.random.default_rng(seed), logits)
+            u = np.random.default_rng(seed).random(items)
+            assert labels.tolist() == self.longhand(logits, u)
 
 
 class TestVbayesStep:

@@ -39,6 +39,23 @@ class TestTypes:
         with pytest.raises(ValidationError):
             BinaryDataMatrix(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("values", [
+        np.array([[0, 1], [1, 0]]),
+        np.array([[0, 1], [1, 0]], dtype=np.int8),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[False, True], [True, False]]),
+    ])
+    def test_data_matrix_accepts_zero_one_cells(self, values):
+        data = BinaryDataMatrix(values)
+        assert data.values.dtype == np.int8
+        assert data.values.tolist() == [[0, 1], [1, 0]]
+        assert not np.shares_memory(data.values, values)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_data_matrix_rejects_every_other_cell(self, bad):
+        with pytest.raises(ValidationError, match="^data matrix cells must all be 0 or 1$"):
+            BinaryDataMatrix(np.array([[0, 1], [1, bad]]))
+
     def test_data_matrix_is_immutable(self):
         data = BinaryDataMatrix(np.array([[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
