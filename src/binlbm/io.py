@@ -190,24 +190,10 @@ def export_reordered(data, fit_result, out_prefix):
     return str(matrix_path), str(summary_path)
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonify(value.tolist())
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def write_json(payload, path):
     """Serialize a payload deterministically (sorted keys, no timestamps)."""
     Path(path).write_text(
-        json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def fit_payload(fit_result):

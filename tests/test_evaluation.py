@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from binlbm import (
     stratified_subsample,
 )
 from binlbm import evaluation
-from binlbm.evaluation import MAX_MATCH_GROUPS, _largest_remainder
+from binlbm.evaluation import MAX_MATCH_GROUPS, MatchResult, _best_surjection, _largest_remainder
 from oracles import TABLE5_COUNTS, TABLE5_EST, TABLE5_REF, best_match_bruteforce
 
 PRIOR = PriorHyperparams()
@@ -124,6 +126,103 @@ class TestBestMatch:
         result = best_match(ref, est, 1, 2)
         assert result.misclassified == 0
         assert result.mapping == (0, 0)
+
+
+# verbatim copies of the former exhaustive search, kept as the oracle for the
+# anchor search: every set partition of the source groups into n_to blocks,
+# then every assignment of the blocks to distinct targets
+def _partitions_into(items, k):
+    """All ways to split ``items`` into exactly ``k`` non-empty blocks."""
+    if k == 0:
+        if not items:
+            yield []
+        return
+    if len(items) < k:
+        return
+    head, tail = items[0], items[1:]
+    for rest in _partitions_into(tail, k - 1):
+        yield [[head], *rest]
+    for rest in _partitions_into(tail, k):
+        for i in range(len(rest)):
+            yield [*rest[:i], [head, *rest[i]], *rest[i + 1:]]
+
+
+def every_surjection_search(score, n_from, n_to):
+    """Maximize sum_j score[f(j), j] over surjections f: [n_from] -> [n_to].
+
+    Every surjection is a set partition of the source labels into n_to
+    blocks followed by a choice of distinct targets for the blocks, which
+    enumerates each candidate exactly once.
+    """
+    best_total = -1
+    best_map = None
+    for blocks in _partitions_into(list(range(n_from)), n_to):
+        block_scores = [score[:, block].sum(axis=1) for block in blocks]
+        for perm in itertools.permutations(range(n_to)):
+            total = 0
+            mapping = [0] * n_from
+            for block, target, sums in zip(blocks, perm, block_scores):
+                total += int(sums[target])
+                for j in block:
+                    mapping[j] = target
+            mapping = tuple(mapping)
+            if total > best_total or (total == best_total and mapping < best_map):
+                best_total = total
+                best_map = mapping
+    return best_total, best_map
+
+
+def tie_heavy_scores(seed, n_to, n_from, draws):
+    """An all-zero score, then ``draws`` scores each with entries in 0..top
+    for top in 1, 2, 3 and 10; the small ranges make many ties."""
+    rng = np.random.default_rng(seed)
+    scores = [np.zeros((n_to, n_from), dtype=np.int64)]
+    for top in (1, 2, 3, 10):
+        scores += [rng.integers(0, top + 1, size=(n_to, n_from)) for _ in range(draws)]
+    return scores
+
+
+def match_result_bruteforce(ref, est, g_ref, g_est):
+    """best_match's result by trying every map onto the side with fewer
+    groups in lexicographic order, keeping the first with the fewest
+    misclassified rows."""
+    if g_est >= g_ref:
+        source, target, large, small, side = est, ref, g_est, g_ref, "estimated"
+    else:
+        source, target, large, small, side = ref, est, g_ref, g_est, "reference"
+    best = None
+    for mapping in itertools.product(range(small), repeat=large):
+        if len(set(mapping)) != small:
+            continue
+        mis = sum(1 for s, t in zip(source, target) if mapping[s] != t)
+        if best is None or mis < best[0]:
+            best = (mis, mapping)
+    return MatchResult(misclassified=best[0], rate=best[0] / len(ref), mapping=best[1],
+                       merged_side=side)
+
+
+class TestBestSurjection:
+    @pytest.mark.parametrize("n_to,n_from", [(n_to, n_from) for n_from in range(1, 8)
+                                             for n_to in range(1, n_from + 1)])
+    def test_matches_every_surjection_search(self, n_to, n_from):
+        for score in tie_heavy_scores(10 * n_from + n_to, n_to, n_from, draws=3):
+            assert _best_surjection(score) == every_surjection_search(score, n_from, n_to)
+
+    @pytest.mark.parametrize("n_to", [1, 3, 5, 8])
+    def test_matches_every_surjection_search_from_eight(self, n_to):
+        for score in tie_heavy_scores(80 + n_to, n_to, 8, draws=1):
+            assert _best_surjection(score) == every_surjection_search(score, 8, n_to)
+
+    def test_full_result_against_lexicographic_bruteforce(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            g_ref = int(rng.integers(1, 5))
+            g_est = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 13))
+            ref = random_labels(rng, n, g_ref)
+            est = random_labels(rng, n, g_est)
+            assert best_match(ref, est, g_ref, g_est) == match_result_bruteforce(
+                ref.tolist(), est.tolist(), g_ref, g_est)
 
 
 class TestStratifiedSubsample:

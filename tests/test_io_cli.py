@@ -362,6 +362,50 @@ class TestExportReordered:
             assert row[1:] == pytest.approx(params.alpha[k].tolist(), abs=1e-6)
 
 
+class TestWriteJson:
+    def test_written_bytes(self, tmp_path):
+        # config-shaped: a tuple, a nested dict, keys out of order
+        payload = {
+            "seed": 7,
+            "config": {"target": (3, 4), "epsilon": [0.1, 0.25], "command": "robustness",
+                       "labels_out": None},
+            "cells": [{"n": 40, "rates_by_g": {"3": [0.0, 0.125]}}],
+        }
+        path = tmp_path / "out.json"
+        lbm_io.write_json(payload, path)
+        assert path.read_bytes() == (
+            b'{\n'
+            b'  "cells": [\n'
+            b'    {\n'
+            b'      "n": 40,\n'
+            b'      "rates_by_g": {\n'
+            b'        "3": [\n'
+            b'          0.0,\n'
+            b'          0.125\n'
+            b'        ]\n'
+            b'      }\n'
+            b'    }\n'
+            b'  ],\n'
+            b'  "config": {\n'
+            b'    "command": "robustness",\n'
+            b'    "epsilon": [\n'
+            b'      0.1,\n'
+            b'      0.25\n'
+            b'    ],\n'
+            b'    "labels_out": null,\n'
+            b'    "target": [\n'
+            b'      3,\n'
+            b'      4\n'
+            b'    ]\n'
+            b'  },\n'
+            b'  "seed": 7\n'
+            b'}\n')
+
+    def test_nan_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            lbm_io.write_json({"icl": float("nan")}, tmp_path / "out.json")
+
+
 class TestCli:
     def run(self, *argv):
         return main([str(a) for a in argv])
