@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
-from scipy.special import xlogy, gammaln
 
 from .errors import NumericalError, ValidationError
 from .model import (
@@ -39,6 +39,7 @@ __all__ = [
 _log = logging.getLogger("binlbm")
 
 _CLAMP = 1e-12
+_TINY = np.finfo(float).tiny
 # 50 sweeps leave visibly too many single-restart chains in poor optima at
 # n ~ 100; 100 sweeps restore near-certain selection on easy regimes
 DEFAULT_GIBBS_SWEEPS = 100
@@ -287,11 +288,11 @@ def vbayes_step(data, state, params, prior):
 
 
 def _dirichlet_logpdf(log_p, a):
-    return float(gammaln(log_p.size * a) - log_p.size * gammaln(a) + (a - 1.0) * log_p.sum())
+    return float(lgamma(log_p.size * a) - log_p.size * lgamma(a) + (a - 1.0) * log_p.sum())
 
 
 def _beta_logpdf_total(log1, log0, b):
-    return float(log1.size * (gammaln(2.0 * b) - 2.0 * gammaln(b))
+    return float(log1.size * (lgamma(2.0 * b) - 2.0 * lgamma(b))
                  + (b - 1.0) * (log1 + log0).sum())
 
 
@@ -304,8 +305,10 @@ def _free_energy_value(tau, nu, counts, logs, prior):
         float(row_mass @ log_pi)
         + float(col_mass @ log_rho)
         + float((s1 * log1 + (s_tot - s1) * log0).sum())
-        - float(xlogy(tau, tau).sum())
-        - float(xlogy(nu, nu).sum())
+        # the entropies keep 0 * log 0 = 0: a zero is floored to the smallest
+        # normal float, whose finite log times zero is zero
+        - float((tau * np.log(np.maximum(tau, _TINY))).sum())
+        - float((nu * np.log(np.maximum(nu, _TINY))).sum())
         + _dirichlet_logpdf(log_pi, prior.a)
         + _dirichlet_logpdf(log_rho, prior.a)
         + _beta_logpdf_total(log1, log0, prior.b)

@@ -13,9 +13,9 @@ containers immutable, so shared data can be read from any number of threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ValidationError
 from .rng import derive_rng
@@ -258,11 +258,16 @@ def icl(data, part, g, m, prior):
     zk = counts.row_sizes.astype(float)
     wl = counts.col_sizes.astype(float)
     value = (
-        gammaln(g * a) + gammaln(m * a) - (g + m) * gammaln(a)
-        + g * m * (gammaln(2.0 * b) - 2.0 * gammaln(b))
-        - gammaln(n + g * a) - gammaln(q + m * a)
-        + gammaln(zk + a).sum() + gammaln(wl + a).sum()
-        + (gammaln(counts.n1 + b) + gammaln(counts.n0 + b)
-           - gammaln(np.outer(zk, wl) + 2.0 * b)).sum()
+        lgamma(g * a) + lgamma(m * a) - (g + m) * lgamma(a)
+        + g * m * (lgamma(2.0 * b) - 2.0 * lgamma(b))
+        - lgamma(n + g * a) - lgamma(q + m * a)
+        + _lgamma_array(zk + a).sum() + _lgamma_array(wl + a).sum()
+        + (_lgamma_array(counts.n1 + b) + _lgamma_array(counts.n0 + b)
+           - _lgamma_array(np.outer(zk, wl) + 2.0 * b)).sum()
     )
     return float(value)
+
+
+def _lgamma_array(x):
+    """Elementwise ``math.lgamma`` over a float array, keeping its shape."""
+    return np.fromiter(map(lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)

@@ -4,6 +4,11 @@ Everything here is deliberately long-hand (explicit Python loops,
 math.lgamma, itertools enumeration) so the package's vectorized paths are
 checked against genuinely separate derivations rather than against
 themselves.
+
+The package also takes its log-gamma from ``math.lgamma``, so the ICL and
+free-energy oracles here check how each criterion is assembled, not the
+primitive; ``TestIcl::test_matches_log_factorials_at_integer_priors`` in
+``test_model.py`` checks the primitive against exact log-factorials.
 """
 
 import itertools

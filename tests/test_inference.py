@@ -383,6 +383,39 @@ class TestFreeEnergy:
                                           params.alpha.tolist(), 4.0, 2.0)
         assert free_energy(data, state, params, prior) == pytest.approx(expected, abs=1e-10)
 
+    @staticmethod
+    def bruteforce(data, state, params, prior):
+        return free_energy_bruteforce(data.values.tolist(), state.tau.tolist(),
+                                      state.nu.tolist(), params.pi.tolist(),
+                                      params.rho.tolist(), params.alpha.tolist(),
+                                      prior.a, prior.b)
+
+    def test_one_hot_states_match_bruteforce(self):
+        # exact zeros in tau and nu: the entropies must take 0 * log 0 = 0
+        rng = np.random.default_rng(29)
+        prior = PriorHyperparams(a=4.0, b=2.0)
+        for _ in range(20):
+            n, q = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            g, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            data = BinaryDataMatrix(rng.integers(0, 2, size=(n, q)))
+            part = CoPartition(rng.integers(0, g, size=n), rng.integers(0, m, size=q), g, m)
+            params = LBMParameters(g, m, rng.dirichlet(np.ones(g)), rng.dirichlet(np.ones(m)),
+                                   rng.uniform(0.05, 0.95, size=(g, m)))
+            state = one_hot_state(part)
+            assert free_energy(data, state, params, prior) == pytest.approx(
+                self.bruteforce(data, state, params, prior), abs=1e-10)
+
+    def test_empty_group_column_matches_bruteforce(self):
+        rng = np.random.default_rng(43)
+        data = BinaryDataMatrix(rng.integers(0, 2, size=(6, 4)))
+        tau = np.zeros((6, 3))
+        tau[:, [0, 2]] = rng.dirichlet(np.ones(2), size=6)
+        state = VariationalState(tau, rng.dirichlet(np.ones(2), size=4))
+        params = LBMParameters(3, 2, [0.3, 0.2, 0.5], [0.6, 0.4],
+                               [[0.2, 0.7], [0.5, 0.5], [0.9, 0.1]])
+        assert free_energy(data, state, params, PRIOR) == pytest.approx(
+            self.bruteforce(data, state, params, PRIOR), abs=1e-10)
+
     def test_single_group_closed_form(self):
         rng = np.random.default_rng(31)
         data = BinaryDataMatrix(rng.integers(0, 2, size=(6, 4)))

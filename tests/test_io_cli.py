@@ -1,6 +1,9 @@
 import codecs
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +407,18 @@ class TestWriteJson:
     def test_nan_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             lbm_io.write_json({"icl": float("nan")}, tmp_path / "out.json")
+
+
+def test_package_and_cli_import_no_scipy():
+    # numpy is the one runtime dependency; a fresh interpreter shows every
+    # module the package pulls in at import time
+    src = str(Path(lbm_io.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, binlbm, binlbm.cli; print(*sys.modules)"],
+        env=env, check=True, capture_output=True, text=True).stdout.split()
+    assert "binlbm.cli" in loaded
+    assert [name for name in loaded if name.startswith("scipy")] == []
 
 
 class TestCli:

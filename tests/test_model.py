@@ -229,6 +229,40 @@ class TestIcl:
         assert math.isfinite(value)
         assert value == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("a, b", [(4, 1), (1, 1), (2, 2)])
+    def test_matches_log_factorials_at_integer_priors(self, a, b):
+        # with integer a and b every log-gamma argument is an integer k, and
+        # lgamma(k) = log((k - 1)!) exactly; this pins the log-gamma primitive
+        # itself, which the conjugate oracle shares with the package
+        def log_gamma(k):
+            return math.log(math.factorial(k - 1))
+
+        rng = np.random.default_rng(97)
+        prior = PriorHyperparams(a=float(a), b=float(b))
+        empty_groups = 0
+        for _ in range(200):
+            n, q = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            g, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            values = rng.integers(0, 2, size=(n, q))
+            z = rng.integers(0, rng.integers(1, g + 1), size=n)
+            w = rng.integers(0, rng.integers(1, m + 1), size=q)
+            zk = [int((z == k).sum()) for k in range(g)]
+            wl = [int((w == l).sum()) for l in range(m)]
+            empty_groups += zk.count(0) + wl.count(0)
+            expected = (log_gamma(g * a) - log_gamma(n + g * a)
+                        + log_gamma(m * a) - log_gamma(q + m * a)
+                        + sum(log_gamma(c + a) - log_gamma(a) for c in zk + wl))
+            for k in range(g):
+                for l in range(m):
+                    ones = int(values[np.ix_(z == k, w == l)].sum())
+                    size = zk[k] * wl[l]
+                    expected += (log_gamma(2 * b) - 2 * log_gamma(b)
+                                 + log_gamma(ones + b) + log_gamma(size - ones + b)
+                                 - log_gamma(size + 2 * b))
+            value = icl(BinaryDataMatrix(values), CoPartition(z, w, g, m), g, m, prior)
+            assert value == pytest.approx(expected, rel=1e-12)
+        assert empty_groups > 0
+
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
