@@ -157,8 +157,8 @@ def build_parser():
                             help="V-Bayes iteration cap per chain")),
         ("--gibbs-sweeps", dict(type=int, default=DEFAULT_GIBBS_SWEEPS,
                                 help="Gibbs initialization sweeps per chain")))
-    threads = _flags(("--threads", dict(type=int, default=1,
-                                        help="worker threads (never changes results)")))
+    threads = _flags(("--threads", dict(type=int, default=1, help=(
+        "worker threads: faster only on large matrices, slower at 137x33 (same results)"))))
     data = _flags(("--data", dict(required=True)))
     pair = _flags(("--g", dict(type=int, required=True)), ("--m", dict(type=int, required=True)))
     restarts = _flags(("--restarts", dict(type=int, default=1)))
@@ -206,10 +206,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)
-    except LbmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -26,4 +26,4 @@ class NumericalError(LbmError, ArithmeticError):
 
 
 class ExperimentError(LbmError, RuntimeError):
-    """An experiment driver failed; the message carries the cell context."""
+    """A robustness data set had no accepted simulation within the attempt cap."""

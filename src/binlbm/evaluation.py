@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExperimentError, LbmError, ValidationError
+from .errors import ExperimentError, ValidationError
 from .model import BinaryDataMatrix, _check_labels, simulate_dataset, staircase_parameters
 from .parallel import ordered_map
 from .rng import derive_rng, derive_seed
-from .selection import _check_fit_options, _target_in_grid, select_model
+from .selection import _check_fit_options, _target_in_grid, _task, select_model
 
 __all__ = [
     "MatchResult",
@@ -229,7 +229,9 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     groups, an invalid epsilon, or a keyword that :func:`fit` does not take,
     is rejected before any simulation.  The remaining keywords (``prior``,
     ``restarts``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to
-    :func:`fit`, with its defaults.
+    :func:`fit`, with its defaults.  A failing task keeps its error type,
+    prefixed by its epsilon, data set, and attempt or subsample size and
+    index; :class:`ExperimentError` means that no data set was accepted.
     """
     if datasets_per_eps < 1 or samples_per_size < 1:
         raise ValidationError("datasets_per_eps and samples_per_size must be >= 1")
@@ -252,12 +254,13 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
         eps_index, epsilon, dataset_index = task
         accepted = None
         for attempt in range(MAX_ATTEMPTS):
-            dataset, _ = simulate_dataset(
-                designs[eps_index], n, q,
-                seed=derive_seed(seed, eps_index, dataset_index, attempt, 0))
-            selection = select_model(
-                dataset, g_max, m_max,
-                seed=derive_seed(seed, eps_index, dataset_index, attempt, 1), **fit_options)
+            with _task(f"epsilon={epsilon}, dataset {dataset_index}, attempt {attempt}"):
+                dataset, _ = simulate_dataset(
+                    designs[eps_index], n, q,
+                    seed=derive_seed(seed, eps_index, dataset_index, attempt, 0))
+                selection = select_model(
+                    dataset, g_max, m_max,
+                    seed=derive_seed(seed, eps_index, dataset_index, attempt, 1), **fit_options)
             if selection.best_pair == (target_g, target_m):
                 accepted = (dataset, selection, attempt + 1)
                 break
@@ -272,7 +275,8 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
         outcomes = []
         for n_sub in sample_sizes:
             for sample_index in range(samples_per_size):
-                try:
+                with _task(f"epsilon={epsilon}, dataset {dataset_index}, n={n_sub}, "
+                           f"sample {sample_index}"):
                     sub, sub_ref, _rows = stratified_subsample(
                         dataset, ref_labels, proportions, n_sub,
                         seed=derive_seed(seed, eps_index, dataset_index, n_sub, sample_index, 2))
@@ -282,10 +286,6 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
                         **fit_options)
                     match = best_match(sub_ref, sub_selection.best_fit.map_part.z,
                                        target_g, sub_selection.best_pair[0])
-                except LbmError as exc:
-                    raise ExperimentError(
-                        f"epsilon={epsilon}, dataset {dataset_index}, n={n_sub}, "
-                        f"sample {sample_index}: {exc}") from exc
                 outcomes.append((n_sub, sub_selection.best_pair, match.rate))
         return DatasetReference(epsilon, dataset_index, attempts, proportions), outcomes
 

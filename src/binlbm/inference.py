@@ -23,6 +23,9 @@ from .model import (
     CoPartition,
     LBMParameters,
     PriorHyperparams,
+    _expected_counts,
+    _freeze,
+    _one_hot,
     icl,
 )
 from .rng import derive_rng, derive_seed
@@ -67,9 +70,7 @@ class VariationalState:
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
             if np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-10):
                 raise ValidationError(f"each row of {name} must sum to 1 within 1e-10")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _freeze(self, name, arr.copy())
 
 
 @dataclass(frozen=True)
@@ -207,33 +208,30 @@ def _dirichlet_mode(mass, a):
 
 
 def _beta_mode(s1, s_tot, b):
-    s0 = s_tot - s1
     den = s_tot + 2.0 * (b - 1.0)
     num = s1 + (b - 1.0)
     alpha = np.zeros_like(s1)
     interior = den > 0.0
     np.divide(num, den, out=alpha, where=interior)
     np.clip(alpha, 0.0, 1.0, out=alpha)
-    # degenerate posteriors (only reachable for b < 1 on nearly empty blocks)
-    # sit at whichever boundary carries the data mass
+    # a degenerate posterior (an empty block, or for b < 1 a nearly empty one)
+    # has weights summing to den <= 0 in the objective
+    # (s1 + b - 1) log alpha + (s0 + b - 1) log(1 - alpha), whose maximum over
+    # the clamped logs lies at a boundary: 1 where moving there from 0 gains,
+    # 0 where it loses, and 1/2 where both score the same (an empty block at
+    # b = 1)
     if not interior.all():
         edge = ~interior
-        alpha[edge] = np.where(s1[edge] > s0[edge], 1.0,
-                               np.where(s1[edge] < s0[edge], 0.0, 0.5))
+        log1, log0 = _log_rate_tables(np.array([0.0, 1.0]))
+        # the weight of log(1 - alpha) is den - num = s0 + b - 1
+        gain = num[edge] * (log1[1] - log1[0]) + (den - num)[edge] * (log0[1] - log0[0])
+        alpha[edge] = (np.sign(gain) + 1.0) / 2.0
     return alpha
 
 
 def _log_tables(pi, rho, alpha):
     # the logs one iteration reads, computed once from the previous one's output
     return (_safe_log(pi), _safe_log(rho)) + _log_rate_tables(alpha)
-
-
-def _expected_counts(y, tau, nu):
-    """Row and column group masses, the expected ones per block ``s1`` and
-    the expected cells per block ``s_tot``."""
-    row_mass = tau.sum(axis=0)
-    col_mass = nu.sum(axis=0)
-    return row_mass, col_mass, tau.T @ y @ nu, np.outer(row_mass, col_mass)
 
 
 def _vbayes_update(y, nu, logs, prior):
@@ -258,10 +256,9 @@ def _vbayes_update(y, nu, logs, prior):
     pi = _dirichlet_mode(row_mass, prior.a)
     rho = _dirichlet_mode(col_mass, prior.a)
     alpha = _beta_mode(s1, s_tot, prior.b)
-
-    for name, arr in (("tau", tau), ("nu", nu), ("pi", pi), ("rho", rho), ("alpha", alpha)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError(f"non-finite values in updated {name}")
+    # no finiteness check here: no output can become infinite (softmax rows
+    # and the modes stay within [0, 1]), and a NaN in any output passes every
+    # clamp and product on to the free energy, which refuses it
     return (tau, nu, pi, rho, alpha) + counts
 
 
@@ -284,6 +281,9 @@ def vbayes_step(data, state, params, prior):
     tau, nu, pi, rho, alpha = _vbayes_update(
         data.values.astype(float), state.nu,
         _log_tables(params.pi, params.rho, params.alpha), prior)[:5]
+    for name, arr in (("tau", tau), ("nu", nu), ("pi", pi), ("rho", rho), ("alpha", alpha)):
+        if not np.all(np.isfinite(arr)):
+            raise NumericalError(f"non-finite values in updated {name}")
     return VariationalState(tau, nu), LBMParameters(params.g, params.m, pi, rho, alpha)
 
 
@@ -332,14 +332,11 @@ def free_energy(data, state, params, prior):
                               _log_tables(params.pi, params.rho, params.alpha), prior)
 
 
-def _one_hot(labels, width):
-    out = np.zeros((labels.size, width))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
 def _run_chain(data, g, m, prior, gibbs_sweeps, max_iter, tol, chain_seed):
-    # plain arrays inside the loop; the result types are built and checked once
+    # plain arrays inside the loop and out: fit builds and checks the result
+    # types once, for the winning chain.  The free energy is the loop's one
+    # finiteness check (see _vbayes_update).  The float data is made after
+    # the Gibbs start, which makes its own: one copy alive at a time
     params, part = gibbs_init(data, g, m, prior, sweeps=gibbs_sweeps, seed=chain_seed)
     y = data.values.astype(float)
     nu = _one_hot(part.w, m)
@@ -357,8 +354,7 @@ def _run_chain(data, g, m, prior, gibbs_sweeps, max_iter, tol, chain_seed):
         previous = current
         if converged:
             break
-    return (VariationalState(tau, nu), LBMParameters(g, m, pi, rho, alpha), previous,
-            iterations, converged)
+    return (tau, nu, pi, rho, alpha), previous, iterations, converged
 
 
 def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
@@ -396,23 +392,23 @@ def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
             failures.append(f"restart {index}: {exc}")
             chain_free_energies.append(None)
             continue
-        _, _, chain_fe, iterations, converged = chain
+        _, chain_fe, iterations, converged = chain
         _log.debug("chain (g=%d, m=%d) restart %d: %d iterations, converged %s, "
                    "free energy %r", g, m, index, iterations, converged, chain_fe)
         if not converged:
             _log.warning("chain (g=%d, m=%d) restart %d stopped at max_iter=%d without "
                          "meeting tol=%g", g, m, index, max_iter, tol)
         chain_free_energies.append(chain_fe)
-        if best is None or chain_fe > best[2]:
+        if best is None or chain_fe > best[1]:
             best = chain
             best_index = index
     if best is None:
         raise NumericalError("all restart chains failed numerically: " + "; ".join(failures))
-    state, params, best_fe, iterations, _ = best
-    map_part = CoPartition(np.argmax(state.tau, axis=1), np.argmax(state.nu, axis=1), g, m)
+    (tau, nu, pi, rho, alpha), best_fe, iterations, _ = best
+    map_part = CoPartition(np.argmax(tau, axis=1), np.argmax(nu, axis=1), g, m)
     return FitResult(
-        params=params,
-        state=state,
+        params=LBMParameters(g, m, pi, rho, alpha),
+        state=VariationalState(tau, nu),
         map_part=map_part,
         free_energy=best_fe,
         icl_value=icl(data, map_part, g, m, prior),

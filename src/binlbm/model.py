@@ -215,20 +215,19 @@ def simulate_dataset(params, n, q, seed):
     return BinaryDataMatrix(cells), CoPartition(z, w, params.g, params.m)
 
 
-def _block_tallies(values, z, w, g, m):
-    # float one-hot contractions over the int8 data of ``icl`` and
-    # ``block_counts``: every partial sum is an integer far below 2**53, so
-    # the counts are exact
-    n, q = values.shape
-    row_sizes = np.bincount(z, minlength=g)
-    col_sizes = np.bincount(w, minlength=m)
-    z_onehot = np.zeros((g, n))
-    z_onehot[z, np.arange(n)] = 1.0
-    w_onehot = np.zeros((q, m))
-    w_onehot[np.arange(q), w] = 1.0
-    n1 = z_onehot @ values @ w_onehot
-    n0 = np.outer(row_sizes, col_sizes) - n1
-    return n1, n0, row_sizes, col_sizes
+def _one_hot(labels, width):
+    out = np.zeros((labels.size, width))
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
+def _expected_counts(y, tau, nu):
+    """Row and column group masses, the expected ones per block ``s1`` and
+    the expected cells per block ``s_tot``.  On one-hot labels these are the
+    exact block counts: every partial sum is an integer far below 2**53."""
+    row_mass = tau.sum(axis=0)
+    col_mass = nu.sum(axis=0)
+    return row_mass, col_mass, tau.T @ y @ nu, np.outer(row_mass, col_mass)
 
 
 def block_counts(data, part):
@@ -237,8 +236,9 @@ def block_counts(data, part):
     if part.n != data.n or part.q != data.q:
         raise ValidationError(
             f"partition sized ({part.n}, {part.q}) does not match data ({data.n}, {data.q})")
-    n1, n0, row_sizes, col_sizes = _block_tallies(data.values, part.z, part.w, part.g, part.m)
-    return BlockCounts(n1, n0, row_sizes, col_sizes)
+    row_sizes, col_sizes, n1, cells = _expected_counts(
+        data.values, _one_hot(part.z, part.g), _one_hot(part.w, part.m))
+    return BlockCounts(n1, cells - n1, row_sizes, col_sizes)
 
 
 def icl(data, part, g, m, prior):

@@ -1,11 +1,15 @@
 """ICL model selection over a (g, m) grid, plus the two study drivers built
 on top of it: restart-count tuning on simulated staircase data, and the
 repeated-run reference-model study with its inter-arrival statistics.
+
+A failing task re-raises its error with the same type, prefixed by its key:
+the grid cell, the run, or the epsilon, data set and T.
 """
 
 from __future__ import annotations
 
 import inspect
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +98,15 @@ def _check_fit_options(fit_options, *passed):
         raise TypeError(f"fit() {exc}") from None
 
 
+@contextmanager
+def _task(key):
+    """Re-raise a package error as the same type, "<key> failed: <message>"."""
+    try:
+        yield
+    except LbmError as exc:
+        raise type(exc)(f"{key} failed: {exc}") from exc
+
+
 def select_model(data, g_max, m_max, *, seed=0, threads=1, **fit_options):
     """Fit every (g, m) in [1..g_max] x [1..m_max] and return the ICL argmax.
 
@@ -109,10 +122,8 @@ def select_model(data, g_max, m_max, *, seed=0, threads=1, **fit_options):
 
     def run_cell(pair):
         g, m = pair
-        try:
+        with _task(f"grid cell (g={g}, m={m})"):
             return fit(data, g, m, seed=derive_seed(seed, g, m), **fit_options)
-        except LbmError as exc:
-            raise type(exc)(f"grid cell (g={g}, m={m}) failed: {exc}") from exc
 
     fits = ordered_map(run_cell, pairs, threads=threads)
     grid = tuple((g, m, fr) for (g, m), fr in zip(pairs, fits))
@@ -176,13 +187,15 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
     records = []
     for eps_index, (epsilon, params) in enumerate(zip(epsilon_list, designs)):
 
-        def run_dataset(dataset_index, _eps_index=eps_index, _params=params):
+        def run_dataset(dataset_index, _eps_index=eps_index, _epsilon=float(epsilon),
+                        _params=params):
             dataset, _ = simulate_dataset(_params, n, q,
                                           seed=derive_seed(seed, _eps_index, dataset_index, 0))
             for t_count in range(1, t_cap + 1):
-                result = select_model(dataset, g_max, m_max, restarts=t_count,
-                                      seed=derive_seed(seed, _eps_index, dataset_index, t_count),
-                                      **fit_options)
+                with _task(f"epsilon={_epsilon}, dataset {dataset_index}, T={t_count}"):
+                    result = select_model(
+                        dataset, g_max, m_max, restarts=t_count,
+                        seed=derive_seed(seed, _eps_index, dataset_index, t_count), **fit_options)
                 if result.best_pair == (target_g, target_m):
                     return t_count, False
             return t_cap, True
@@ -270,8 +283,9 @@ def reference_model_study(data, grid, *, runs=1, seed=0, threads=1, **fit_option
     g_max, m_max = grid
 
     def run_once(run_index):
-        result = select_model(data, g_max, m_max, restarts=1,
-                              seed=derive_seed(seed, run_index), **fit_options)
+        with _task(f"reference run {run_index}"):
+            result = select_model(data, g_max, m_max, restarts=1,
+                                  seed=derive_seed(seed, run_index), **fit_options)
         return result.best_pair, result.best_fit.icl_value
 
     outcomes = ordered_map(run_once, range(runs), threads=threads)

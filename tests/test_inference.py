@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -24,6 +25,7 @@ from binlbm.inference import (
     DEFAULT_GIBBS_SWEEPS,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _beta_mode,
     _log_rate_tables,
     _one_hot,
     _row_softmax,
@@ -356,6 +358,29 @@ class TestVbayesStep:
                                      params.pi.tolist(), params.alpha.tolist())
         assert np.allclose(new_state.tau, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("b", [0.1, 0.5, 0.9])
+    def test_degenerate_block_takes_the_better_boundary(self, b):
+        # den = s_tot + 2(b - 1) <= 0 in every block: exact ties (empty and
+        # nearly empty blocks), and masses leaning either way
+        s_tot = np.array([[0.0, 2e-179, 1.0 - b, 0.5 * (1.0 - b)],
+                          [1e-300, 3e-9, 0.6 * (1.0 - b), 1.2 * (1.0 - b)]])
+        s1 = np.array([[0.0, 1e-179, 0.5 * (1.0 - b), 0.25 * (1.0 - b)],
+                       [0.0, 3e-9, 0.1 * (1.0 - b), 1.1 * (1.0 - b)]])
+        alpha = _beta_mode(s1, s_tot, b)
+        assert set(alpha.ravel().tolist()) <= {0.0, 1.0}
+
+        def clamped_objective(rates):
+            log1, log0 = _log_rate_tables(rates)
+            return (s1 + b - 1.0) * log1 + (s_tot - s1 + b - 1.0) * log0
+
+        for other in (0.0, 0.5, 1.0):
+            assert np.all(clamped_objective(alpha)
+                          >= clamped_objective(np.full_like(alpha, other)))
+
+    def test_empty_block_at_b_one_stays_at_one_half(self):
+        # both boundaries score 0 there, so the former value is kept
+        assert _beta_mode(np.zeros((1, 2)), np.zeros((1, 2)), 1.0).tolist() == [[0.5, 0.5]]
+
     def test_rows_stay_normalized(self):
         rng = np.random.default_rng(14)
         data = BinaryDataMatrix(rng.integers(0, 2, size=(8, 6)))
@@ -366,6 +391,37 @@ class TestVbayesStep:
             state, params = vbayes_step(data, state, params, PRIOR)
             assert np.allclose(state.tau.sum(axis=1), 1.0, atol=1e-10)
             assert np.allclose(state.nu.sum(axis=1), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("a, b", list(itertools.product([0.5, 1.0, 4.0], [0.1, 0.2, 0.5, 1.0])))
+def test_free_energy_ascent_at_every_prior(a, b):
+    # criterion 3's loop and tolerance, with g and m up to 4 and 200 fits;
+    # at a <= 1 and b < 1 groups and blocks empty out
+    prior = PriorHyperparams(a=a, b=b)
+    rng = np.random.default_rng(3003)
+    worst_dip = 0.0
+    for trial in range(200):
+        g = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 5))
+        if trial % 2 == 0:
+            data = BinaryDataMatrix(rng.integers(0, 2, size=(30, 15)))
+        else:
+            eps = float(rng.uniform(0.1, 0.4))
+            data, _ = simulate_dataset(staircase_parameters(g, m, eps), 30, 15,
+                                       seed=int(rng.integers(0, 2**31)))
+        params, part = gibbs_init(data, g, m, prior, sweeps=50,
+                                  seed=int(rng.integers(0, 2**31)))
+        state = one_hot_state(part)
+        previous = None
+        for _ in range(500):
+            state, params = vbayes_step(data, state, params, prior)
+            current = free_energy(data, state, params, prior)
+            if previous is not None:
+                worst_dip = min(worst_dip, current - previous)
+                if abs(current - previous) < 1e-6 * abs(current):
+                    break
+            previous = current
+    assert worst_dip >= -1e-8
 
 
 class TestFreeEnergy:
@@ -559,6 +615,68 @@ class TestFit:
         assert math.isfinite(result.free_energy)
 
 
+UPDATED = ("tau", "nu", "pi", "rho", "alpha")
+
+
+def poison_updates(monkeypatch, name, chains):
+    """Write NaN into one entry of the updated ``name`` at iteration 2 of
+    each listed chain, chains counted by their Gibbs starts from 0."""
+    real_gibbs, real_update = inference.gibbs_init, inference._vbayes_update
+    seen = {"chain": -1, "iteration": 0}
+
+    def gibbs(*args, **kwargs):
+        seen["chain"] += 1
+        seen["iteration"] = 0
+        return real_gibbs(*args, **kwargs)
+
+    def update(*args):
+        out = list(real_update(*args))
+        seen["iteration"] += 1
+        if seen["chain"] in chains and seen["iteration"] == 2:
+            index = UPDATED.index(name)
+            out[index] = out[index].copy()
+            out[index].flat[0] = np.nan
+        return tuple(out)
+
+    monkeypatch.setattr(inference, "gibbs_init", gibbs)
+    monkeypatch.setattr(inference, "_vbayes_update", update)
+
+
+@pytest.mark.parametrize("name", UPDATED)
+class TestNonFiniteUpdates:
+    """The free energy is the chain's one finiteness check, and a NaN in any
+    updated array reaches it; the public step checks every array."""
+
+    @staticmethod
+    def data():
+        return simulate_dataset(staircase_parameters(2, 2, 0.2), 30, 12, seed=3)[0]
+
+    def test_every_chain_poisoned_fails_naming_the_iteration(self, name, monkeypatch):
+        poison_updates(monkeypatch, name, chains={0, 1})
+        failure = "iteration 2: free energy evaluated to a non-finite value"
+        with pytest.raises(NumericalError, match=(f"all restart chains failed numerically: "
+                                                  f"restart 0: {failure}; restart 1: {failure}$")):
+            fit(self.data(), 2, 2, PRIOR, restarts=2, seed=4)
+
+    def test_one_poisoned_chain_is_recorded_and_skipped(self, name, monkeypatch):
+        clean = fit(self.data(), 2, 2, PRIOR, restarts=2, seed=4)
+        poison_updates(monkeypatch, name, chains={0})
+        result = fit(self.data(), 2, 2, PRIOR, restarts=2, seed=4)
+        assert result.chain_free_energies == (None, clean.chain_free_energies[1])
+        assert result.restart_index == 1
+        assert result.free_energy == clean.chain_free_energies[1]
+
+    def test_public_step_names_the_array(self, name, monkeypatch):
+        data = self.data()
+        params, part = gibbs_init(data, 2, 2, PRIOR, sweeps=10, seed=5)
+        state = one_hot_state(part)
+        # vbayes_step draws no Gibbs start, so its calls count as chain -1
+        poison_updates(monkeypatch, name, chains={-1})
+        state, params = vbayes_step(data, state, params, PRIOR)
+        with pytest.raises(NumericalError, match=f"^non-finite values in updated {name}$"):
+            vbayes_step(data, state, params, PRIOR)
+
+
 class TestChainKernel:
     """The chain loop on plain arrays against the public step functions."""
 
@@ -581,8 +699,9 @@ class TestChainKernel:
     def test_matches_public_steps_exactly(self, g, m):
         data, _ = simulate_dataset(staircase_parameters(3, 4, 0.28), 137, 33, seed=21)
         seed = derive_seed(5, g, m)
-        state, params, energy, iterations, _ = _run_chain(
+        (tau, nu, pi, rho, alpha), energy, iterations, _ = _run_chain(
             data, g, m, PRIOR, DEFAULT_GIBBS_SWEEPS, DEFAULT_MAX_ITER, DEFAULT_TOL, seed)
+        state, params = VariationalState(tau, nu), LBMParameters(g, m, pi, rho, alpha)
         ref_state, ref_params, ref_energy, ref_iterations = self.public_chain(data, g, m, seed)
         assert np.array_equal(state.tau, ref_state.tau)
         assert np.array_equal(state.nu, ref_state.nu)

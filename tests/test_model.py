@@ -14,7 +14,7 @@ from binlbm import (
     simulate_dataset,
     staircase_parameters,
 )
-from binlbm.model import _block_tallies
+from binlbm.model import _expected_counts, _one_hot
 from oracles import block_counts_loop, icl_conjugate_oracle
 
 PRIOR = PriorHyperparams()
@@ -176,8 +176,9 @@ class TestBlockCounts:
             block_counts(data, part)
 
     def test_tallies_match_add_at(self):
-        # int8 data (the icl path) and float data, with labels drawn from a
-        # random subset of groups so some stay empty
+        # one-hot labels over int8 data (the icl path) and float data (the
+        # V-Bayes path), with labels drawn from a random subset of groups so
+        # some stay empty
         rng = np.random.default_rng(17)
         for _ in range(30):
             n, q = int(rng.integers(1, 60)), int(rng.integers(1, 20))
@@ -196,7 +197,9 @@ class TestBlockCounts:
             np.add.at(rows, z, 1)
             np.add.at(cols, w, 1)
             for cells in (values, values.astype(float)):
-                got = _block_tallies(cells, z, w, g, m)
+                row_mass, col_mass, s1, s_tot = _expected_counts(
+                    cells, _one_hot(z, g), _one_hot(w, m))
+                got = (s1, s_tot - s1, row_mass, col_mass)
                 for actual, expected in zip(got, (n1, n0, rows, cols)):
                     assert np.array_equal(actual, expected)
 

@@ -6,6 +6,7 @@ import pytest
 
 from binlbm import (
     BinaryDataMatrix,
+    NumericalError,
     PriorHyperparams,
     ValidationError,
     icl,
@@ -270,3 +271,72 @@ def test_bad_chain_keyword_rejected_before_simulating(name, monkeypatch):
     assert drawn == [] and calls == []
     driver(*args, gibbs_sweeps=2, **kwargs)
     assert drawn and calls
+
+
+def failure_message(monkeypatch, k, driver, *args, **kwargs):
+    """Run ``driver`` with the k-th call of fit (1-based) raising
+    NumericalError and return the message it re-raises, which must keep
+    that exact type.  The drivers run serially, so calls come in task order
+    and, within a selection, in row-major cell order."""
+    real_fit = selection.fit
+    calls = []
+
+    @functools.wraps(real_fit)
+    def failing(*a, **kw):
+        calls.append(None)
+        if len(calls) == k:
+            raise NumericalError("synthetic failure")
+        return real_fit(*a, **kw)
+
+    monkeypatch.setattr(selection, "fit", failing)
+    with pytest.raises(NumericalError) as excinfo:
+        driver(*args, **kwargs)
+    assert excinfo.type is NumericalError
+    return str(excinfo.value)
+
+
+class TestDriverErrors:
+    """A failing task re-raises with its own type and its key in front."""
+
+    def test_select_model_names_the_cell(self, monkeypatch):
+        data = BinaryDataMatrix(np.eye(4, dtype=int))
+        assert failure_message(monkeypatch, 3, select_model, data, 2, 2) == (
+            "grid cell (g=2, m=1) failed: synthetic failure")
+
+    def test_reference_study_names_the_run(self, monkeypatch):
+        data, _ = simulate_dataset(staircase_parameters(2, 2, 0.1), 30, 12, seed=31)
+        message = failure_message(monkeypatch, 2 * 4 + 2, reference_model_study,
+                                  data, (2, 2), runs=3, seed=37)
+        assert message == ("reference run 2 failed: grid cell (g=1, m=2) failed: "
+                           "synthetic failure")
+
+    def test_tune_restarts_names_epsilon_dataset_and_t(self, monkeypatch):
+        args = ([0.1, 0.35], 2, (2, 3), (2, 3))
+        kwargs = dict(t_cap=3, seed=5, n=40, q=18)
+        records = tune_restarts(*args, **kwargs)
+        # one call before the clean run's last: the last data set's last T,
+        # at cell (2, 2) of the six
+        last_call = 6 * sum(sum(r.stop_t) for r in records)
+        message = failure_message(monkeypatch, last_call - 1, tune_restarts, *args, **kwargs)
+        assert message == (f"epsilon=0.35, dataset 1, T={records[-1].stop_t[-1]} failed: "
+                           "grid cell (g=2, m=2) failed: synthetic failure")
+
+    # both robustness stages; ExperimentError is kept for no accepted data set
+    ROBUSTNESS = ([0.1], 1, [20, 30], 2, (2, 3))
+    ROBUSTNESS_KWARGS = dict(target_pair=(2, 3), n=40, q=18, seed=9)
+
+    def test_robustness_names_the_acceptance_attempt(self, monkeypatch):
+        message = failure_message(monkeypatch, 2, robustness_experiment,
+                                  *self.ROBUSTNESS, **self.ROBUSTNESS_KWARGS)
+        assert message == ("epsilon=0.1, dataset 0, attempt 0 failed: "
+                           "grid cell (g=1, m=2) failed: synthetic failure")
+
+    def test_robustness_names_the_subsample(self, monkeypatch):
+        report = robustness_experiment(*self.ROBUSTNESS, **self.ROBUSTNESS_KWARGS)
+        # past the acceptance selections and three subsample selections: the
+        # first cell of sample 1 at the second size
+        k = 6 * report.references[0].attempts + 3 * 6 + 1
+        message = failure_message(monkeypatch, k, robustness_experiment,
+                                  *self.ROBUSTNESS, **self.ROBUSTNESS_KWARGS)
+        assert message == ("epsilon=0.1, dataset 0, n=30, sample 1 failed: "
+                           "grid cell (g=1, m=1) failed: synthetic failure")
