@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExperimentError, ValidationError
-from .model import BinaryDataMatrix, _check_labels, simulate_dataset, staircase_parameters
+from .model import (BinaryDataMatrix, _check_labels, _one_hot, simulate_dataset,
+                    staircase_parameters)
 from .parallel import ordered_map
 from .rng import derive_rng, derive_seed
 from .selection import _check_fit_options, _target_in_grid, _task, select_model
@@ -46,9 +47,8 @@ def contingency(ref_z, est_z, g_ref, g_est):
     est = _check_labels(est_z, g_est, "est_z")
     if ref.size != est.size:
         raise ValidationError(f"label vectors differ in length: {ref.size} vs {est.size}")
-    counts = np.zeros((g_ref, g_est), dtype=np.int64)
-    np.add.at(counts, (ref, est), 1)
-    return counts
+    # the one-hot product's sums are exact integers far below 2**53
+    return (_one_hot(ref, g_ref).T @ _one_hot(est, g_est)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -226,10 +226,11 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     tabulate the selected pair, and score the subsample's row partition
     against the reference labels of the sampled rows with
     :func:`best_match`.  A grid of more than ``MAX_MATCH_GROUPS`` row
-    groups, an invalid epsilon, or a keyword that :func:`fit` does not take,
-    is rejected before any simulation.  The remaining keywords (``prior``,
-    ``restarts``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to
-    :func:`fit`, with its defaults.  A failing task keeps its error type,
+    groups, an invalid epsilon, a keyword that :func:`fit` does not take,
+    or a chain setting that it would refuse, is rejected before any
+    simulation.  The remaining keywords (``prior``, ``restarts``,
+    ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to :func:`fit`,
+    with its defaults.  A failing task keeps its error type,
     prefixed by its epsilon, data set, and attempt or subsample size and
     index; :class:`ExperimentError` means that no data set was accepted.
     """

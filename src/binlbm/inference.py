@@ -13,6 +13,7 @@ restarts are run from independent streams and the best free energy wins.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from math import lgamma
 
@@ -107,30 +108,27 @@ def _log_rate_tables(alpha):
     return np.log(clipped), np.log1p(-clipped)
 
 
-def _row_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+def _softmax(logits, axis):
+    probs = np.exp(logits - np.maximum.reduce(logits, axis=axis, keepdims=True))
+    probs /= np.add.reduce(probs, axis=axis, keepdims=True)
     return probs
 
 
 def _sample_labels(rng, logits):
     """One categorical draw per column of the (groups, items) ``logits``, via
-    inverse CDF; a uniform that rounding leaves above the last cumulative sum
-    goes to the last group."""
-    probs = np.exp(logits - np.maximum.reduce(logits, axis=0))
-    probs /= np.add.reduce(probs, axis=0)
-    u = rng.random(logits.shape[1])
-    if logits.shape[1] >= _ROW_CDF_MIN_ITEMS:
+    inverse CDF.  The label counts the running sums of the first g - 1 groups
+    below the uniform; the sums never decrease, so no clamp is needed."""
+    # a uniform above every sum, even one that rounding leaves above the full
+    # sum, takes the last group; at g = 1 the slice is empty and every label is 0
+    head = _softmax(logits, 0)[:-1]
+    if logits.shape[1] < _ROW_CDF_MIN_ITEMS:
+        head = np.add.accumulate(head, axis=0)
+    else:
         # accumulate runs the short group axis as its inner loop; a running sum
         # over whole group rows adds the same terms in the same order
-        for k in range(1, probs.shape[0]):
-            np.add(probs[k - 1], probs[k], out=probs[k])
-        cdf = probs
-    else:
-        cdf = np.add.accumulate(probs, axis=0)
-    idx = np.add.reduce(cdf < u, axis=0)
-    return np.minimum(idx, logits.shape[0] - 1)
+        for k in range(1, head.shape[0]):
+            np.add(head[k - 1], head[k], out=head[k])
+    return np.add.reduce(head < rng.random(logits.shape[1]), axis=0)
 
 
 def _sample_parameters(rng, n1, row_sizes, col_sizes, prior):
@@ -139,12 +137,6 @@ def _sample_parameters(rng, n1, row_sizes, col_sizes, prior):
     rho = rng.dirichlet(col_sizes + prior.a)
     alpha = rng.beta(n1 + prior.b, n0 + prior.b)
     return pi, rho, alpha
-
-
-def _ones_by_group(hot, y):
-    # one-hot labels (groups x rows of y) times y: each group's exact count of
-    # ones in every column of y; the only pass a Gibbs sweep makes over y
-    return hot @ y
 
 
 def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS, seed=0):
@@ -164,18 +156,18 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
         raise ValidationError("g and m must be >= 1")
     rng = derive_rng(seed)
     y = data.values.astype(float)
-    # group-major one-hot labels: every label likelihood and block tally is a
-    # product with exact integer counts of ones.  A sweep passes over y at most
-    # twice: a side whose labels did not move keeps its one-hot, sizes and
-    # counts, which are the same exact integers a recount would give
-    row_eye, col_eye = np.eye(g), np.eye(m)
+    # item-major one-hot labels, as in V-Bayes and the ICL, whose transposed
+    # products give group-major counts: every label likelihood and block tally
+    # is a product with exact integer counts of ones.  A sweep passes over y at
+    # most twice: a side whose labels did not move keeps its one-hot, sizes
+    # and counts, which are the same exact integers a recount would give
     z = rng.integers(0, g, size=data.n)
     w = rng.integers(0, m, size=data.q)
-    z_hot, w_hot = row_eye.take(z, axis=1), col_eye.take(w, axis=1)
+    z_hot, w_hot = _one_hot(z, g), _one_hot(w, m)
     row_sizes, col_sizes = np.bincount(z, minlength=g), np.bincount(w, minlength=m)
-    ones_by_rowgroup = _ones_by_group(z_hot, y)
-    ones_by_colgroup = _ones_by_group(w_hot, y.T)
-    pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
+    ones_by_rowgroup = z_hot.T @ y
+    ones_by_colgroup = w_hot.T @ y.T
+    pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot,
                                         row_sizes, col_sizes, prior)
     for _ in range(sweeps):
         log1, log0 = _log_rate_tables(alpha)
@@ -183,17 +175,17 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
             log1 @ ones_by_colgroup + log0 @ (col_sizes[:, None] - ones_by_colgroup)))
         if z_new.tobytes() != z.tobytes():
             z = z_new
-            z_hot = row_eye.take(z, axis=1)
+            z_hot = _one_hot(z, g)
             row_sizes = np.bincount(z, minlength=g)
-            ones_by_rowgroup = _ones_by_group(z_hot, y)
+            ones_by_rowgroup = z_hot.T @ y
         w_new = _sample_labels(rng, _safe_log(rho)[:, None] + (
             log1.T @ ones_by_rowgroup + log0.T @ (row_sizes[:, None] - ones_by_rowgroup)))
         if w_new.tobytes() != w.tobytes():
             w = w_new
-            w_hot = col_eye.take(w, axis=1)
+            w_hot = _one_hot(w, m)
             col_sizes = np.bincount(w, minlength=m)
-            ones_by_colgroup = _ones_by_group(w_hot, y.T)
-        pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
+            ones_by_colgroup = w_hot.T @ y.T
+        pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot,
                                             row_sizes, col_sizes, prior)
     return LBMParameters(g, m, pi, rho, alpha), CoPartition(z, w, g, m)
 
@@ -245,11 +237,11 @@ def _vbayes_update(y, nu, logs, prior):
     log_pi, log_rho, log1, log0 = logs
     ones_by_colgroup = y @ nu
     zeros_by_colgroup = nu.sum(axis=0)[None, :] - ones_by_colgroup
-    tau = _row_softmax(log_pi[None, :] + ones_by_colgroup @ log1.T + zeros_by_colgroup @ log0.T)
+    tau = _softmax(log_pi[None, :] + ones_by_colgroup @ log1.T + zeros_by_colgroup @ log0.T, 1)
 
     ones_by_rowgroup = y.T @ tau
     zeros_by_rowgroup = tau.sum(axis=0)[None, :] - ones_by_rowgroup
-    nu = _row_softmax(log_rho[None, :] + ones_by_rowgroup @ log1 + zeros_by_rowgroup @ log0)
+    nu = _softmax(log_rho[None, :] + ones_by_rowgroup @ log1 + zeros_by_rowgroup @ log0, 1)
 
     counts = _expected_counts(y, tau, nu)
     row_mass, col_mass, s1, s_tot = counts
@@ -336,8 +328,11 @@ def _run_chain(data, g, m, prior, gibbs_sweeps, max_iter, tol, chain_seed):
     # plain arrays inside the loop and out: fit builds and checks the result
     # types once, for the winning chain.  The free energy is the loop's one
     # finiteness check (see _vbayes_update).  The float data is made after
-    # the Gibbs start, which makes its own: one copy alive at a time
+    # the Gibbs start, which makes its own: one copy alive at a time.  The
+    # two timings, Gibbs then V-Bayes, go only to fit's chain record
+    start = time.perf_counter()
     params, part = gibbs_init(data, g, m, prior, sweeps=gibbs_sweeps, seed=chain_seed)
+    gibbs_done = time.perf_counter()
     y = data.values.astype(float)
     nu = _one_hot(part.w, m)
     logs = _log_tables(params.pi, params.rho, params.alpha)
@@ -354,7 +349,19 @@ def _run_chain(data, g, m, prior, gibbs_sweeps, max_iter, tol, chain_seed):
         previous = current
         if converged:
             break
-    return (tau, nu, pi, rho, alpha), previous, iterations, converged
+    return ((tau, nu, pi, rho, alpha), previous, iterations, converged,
+            gibbs_done - start, time.perf_counter() - gibbs_done)
+
+
+def _check_chain_settings(restarts, gibbs_sweeps, max_iter, tol):
+    if restarts < 1:
+        raise ValidationError("restarts must be >= 1")
+    if gibbs_sweeps < 1:
+        raise ValidationError("gibbs_sweeps must be >= 1")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
+    if not tol > 0:
+        raise ValidationError("tol must be > 0")
 
 
 def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
@@ -371,14 +378,11 @@ def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
 
     Every chain is reported on the ``binlbm`` logger: a DEBUG record with its
     iterations, whether it converged and its final free energy, and a WARNING
-    when it stops at ``max_iter`` without meeting ``tol``.
+    when it stops at ``max_iter`` without meeting ``tol``.  The DEBUG record
+    also holds its fields, with the Gibbs and V-Bayes seconds, or a failed
+    chain's message, as a dict in its ``chain`` attribute (see the README).
     """
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
-    if not tol > 0:
-        raise ValidationError("tol must be > 0")
+    _check_chain_settings(restarts, gibbs_sweeps, max_iter, tol)
     best = None
     best_index = -1
     chain_free_energies = []
@@ -388,13 +392,17 @@ def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
             chain = _run_chain(data, g, m, prior, gibbs_sweeps, max_iter, tol,
                                derive_seed(seed, index))
         except NumericalError as exc:
-            _log.debug("chain (g=%d, m=%d) restart %d failed: %s", g, m, index, exc)
+            _log.debug("chain (g=%d, m=%d) restart %d failed: %s", g, m, index, exc,
+                       extra={"chain": dict(g=g, m=m, restart=index, failure=str(exc))})
             failures.append(f"restart {index}: {exc}")
             chain_free_energies.append(None)
             continue
-        _, chain_fe, iterations, converged = chain
+        _, chain_fe, iterations, converged, gibbs_s, vbayes_s = chain
         _log.debug("chain (g=%d, m=%d) restart %d: %d iterations, converged %s, "
-                   "free energy %r", g, m, index, iterations, converged, chain_fe)
+                   "free energy %r", g, m, index, iterations, converged, chain_fe,
+                   extra={"chain": dict(g=g, m=m, restart=index, iterations=iterations,
+                                        converged=converged, free_energy=chain_fe,
+                                        gibbs_s=gibbs_s, vbayes_s=vbayes_s)})
         if not converged:
             _log.warning("chain (g=%d, m=%d) restart %d stopped at max_iter=%d without "
                          "meeting tol=%g", g, m, index, max_iter, tol)
@@ -404,7 +412,7 @@ def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
             best_index = index
     if best is None:
         raise NumericalError("all restart chains failed numerically: " + "; ".join(failures))
-    (tau, nu, pi, rho, alpha), best_fe, iterations, _ = best
+    (tau, nu, pi, rho, alpha), best_fe, iterations = best[:3]
     map_part = CoPartition(np.argmax(tau, axis=1), np.argmax(nu, axis=1), g, m)
     return FitResult(
         params=LBMParameters(g, m, pi, rho, alpha),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LbmError, ValidationError
-from .inference import FitResult, fit
+from .inference import FitResult, _check_chain_settings, fit
 from .model import simulate_dataset, staircase_parameters
 from .parallel import ordered_map
 from .rng import derive_seed
@@ -83,19 +83,24 @@ def _target_in_grid(target_pair, grid):
 
 
 def _check_fit_options(fit_options, *passed):
-    """Raise TypeError, before any work starts, for a keyword the driver's
-    calls of :func:`fit` would refuse: one that fit does not take, or one in
-    ``passed``, which the driver sets itself.  ``fit`` is read from this
-    module's globals, as the calls read it, and ``inspect.signature`` sees
-    the real parameters through a ``functools.wraps`` wrapper bound there.
+    """Check, before any work starts, the keywords the driver passes to
+    :func:`fit`: TypeError for one that fit does not take, or one in
+    ``passed``, which the driver sets itself; ValidationError for a chain
+    setting that fit would refuse, with fit's defaults for the rest.
+    ``fit`` is read from this module's globals, as the calls read it, and
+    ``inspect.signature`` sees the real parameters through a
+    ``functools.wraps`` wrapper bound there.
     """
     doubled = sorted(fit_options.keys() & set(passed))
     if doubled:
         raise TypeError(f"the driver sets {doubled[0]!r} for fit itself")
     try:
-        inspect.signature(fit).bind(None, 1, 1, **fit_options)
+        bound = inspect.signature(fit).bind(None, 1, 1, **fit_options)
     except TypeError as exc:
         raise TypeError(f"fit() {exc}") from None
+    bound.apply_defaults()
+    _check_chain_settings(*(bound.arguments[name]
+                            for name in ("restarts", "gibbs_sweeps", "max_iter", "tol")))
 
 
 @contextmanager
@@ -172,9 +177,10 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
     selection with T restarts, until the target pair is selected or ``t_cap``
     is reached (recorded as censored; censoring is a normal outcome).  A
     fresh data set is drawn only in the outer loop, never while T grows.
-    Every epsilon, and every keyword for :func:`fit`, is checked before any
-    data set is drawn.  The remaining keywords (``prior``, ``gibbs_sweeps``,
-    ``max_iter``, ``tol``) go unchanged to :func:`fit`, with its defaults.
+    Every epsilon, every keyword for :func:`fit` and every chain setting is
+    checked before any data set is drawn.  The remaining keywords
+    (``prior``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to
+    :func:`fit`, with its defaults.
     """
     if t_cap < 1:
         raise ValidationError("t_cap must be >= 1")
@@ -276,10 +282,11 @@ def reference_model_study(data, grid, *, runs=1, seed=0, threads=1, **fit_option
     ties), and the inter-arrival summary describes the 1-based gaps between
     the runs that selected it.  The remaining keywords (``prior``,
     ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to :func:`fit`,
-    with its defaults.
+    with its defaults, and are checked before the first run.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
+    _check_fit_options(fit_options, "restarts")
     g_max, m_max = grid
 
     def run_once(run_index):

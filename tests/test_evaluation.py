@@ -10,12 +10,14 @@ from binlbm import (
     best_match,
     contingency,
     robustness_experiment,
+    select_model,
     simulate_dataset,
     staircase_parameters,
     stratified_subsample,
 )
 from binlbm import evaluation
 from binlbm.evaluation import MAX_MATCH_GROUPS, MatchResult, _best_surjection, _largest_remainder
+from binlbm.rng import derive_seed
 from oracles import TABLE5_COUNTS, TABLE5_EST, TABLE5_REF, best_match_bruteforce
 
 PRIOR = PriorHyperparams()
@@ -327,6 +329,39 @@ class TestRobustnessExperiment:
             assert ref.attempts >= 1
             assert ref.proportions.shape == (3,)
             assert ref.proportions.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_every_task_replays_from_its_keys(self, small_report):
+        # the seed contract at the unit level: each acceptance attempt and each
+        # subsample runs from seeds derived from its own key, so replaying
+        # them one by one rebuilds every cell of the report
+        seed, target, grid = 99, (3, 4), (4, 5)
+        params = staircase_parameters(*target, 0.15)
+        tallies = {}
+        for d, reference in enumerate(small_report.references):
+            for attempt in range(reference.attempts):
+                dataset, _ = simulate_dataset(params, 80, 30,
+                                              seed=derive_seed(seed, 0, d, attempt, 0))
+                selection = select_model(dataset, *grid, prior=PRIOR,
+                                         seed=derive_seed(seed, 0, d, attempt, 1))
+                assert (selection.best_pair == target) == (attempt == reference.attempts - 1)
+            assert np.array_equal(selection.best_fit.params.pi, reference.proportions)
+            for n_sub in (20, 60):
+                for sample in range(2):
+                    sub, sub_ref, _ = stratified_subsample(
+                        dataset, selection.best_fit.map_part.z, reference.proportions, n_sub,
+                        seed=derive_seed(seed, 0, d, n_sub, sample, 2))
+                    sub_selection = select_model(sub, *grid, prior=PRIOR,
+                                                 seed=derive_seed(seed, 0, d, n_sub, sample, 3))
+                    pair = sub_selection.best_pair
+                    rate = best_match(sub_ref, sub_selection.best_fit.map_part.z,
+                                      target[0], pair[0]).rate
+                    pair_counts, rates_by_g = tallies.setdefault(n_sub, ({}, {}))
+                    pair_counts[pair] = pair_counts.get(pair, 0) + 1
+                    rates_by_g.setdefault(pair[0], []).append(rate)
+        for n_sub, (pair_counts, rates_by_g) in tallies.items():
+            cell = small_report.cell(0.15, n_sub)
+            assert cell.pair_counts == pair_counts
+            assert cell.rates_by_g == {g: tuple(rates) for g, rates in rates_by_g.items()}
 
     def test_cell_lookup(self, small_report):
         cell = small_report.cell(0.15, 20)

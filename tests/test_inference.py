@@ -28,7 +28,6 @@ from binlbm.inference import (
     _beta_mode,
     _log_rate_tables,
     _one_hot,
-    _row_softmax,
     _run_chain,
     _safe_log,
     _sample_labels,
@@ -103,7 +102,9 @@ class TestCountSweep:
         y_not = 1.0 - y
 
         def draw_labels(log_weights, loglik):
-            probs = _row_softmax(log_weights[None, :] + loglik)
+            logits = log_weights[None, :] + loglik
+            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs /= probs.sum(axis=1, keepdims=True)
             u = rng.random((probs.shape[0], 1))
             return np.minimum((probs.cumsum(axis=1) < u).sum(axis=1), probs.shape[1] - 1)
 
@@ -217,13 +218,13 @@ class TestRecountSkip:
     @staticmethod
     def count_products(monkeypatch):
         calls = []
-        original = inference._ones_by_group
+        original = inference._one_hot
 
-        def counting(hot, y):
-            calls.append(hot.shape[0])
-            return original(hot, y)
+        def counting(labels, width):
+            calls.append(width)
+            return original(labels, width)
 
-        monkeypatch.setattr(inference, "_ones_by_group", counting)
+        monkeypatch.setattr(inference, "_one_hot", counting)
         return calls
 
     @pytest.mark.parametrize("n, q, g0, m0, epsilon, g, m, b", CASES)
@@ -676,6 +677,15 @@ class TestNonFiniteUpdates:
         with pytest.raises(NumericalError, match=f"^non-finite values in updated {name}$"):
             vbayes_step(data, state, params, PRIOR)
 
+    def test_failed_chain_record_carries_its_failure(self, name, monkeypatch, caplog):
+        poison_updates(monkeypatch, name, chains={0})
+        with caplog.at_level(logging.DEBUG, logger="binlbm"):
+            fit(self.data(), 2, 2, PRIOR, restarts=2, seed=4)
+        chains = [r.chain for r in caplog.records if r.levelno == logging.DEBUG]
+        assert chains[0] == dict(g=2, m=2, restart=0, failure=(
+            "iteration 2: free energy evaluated to a non-finite value"))
+        assert chains[1]["restart"] == 1 and "failure" not in chains[1]
+
 
 class TestChainKernel:
     """The chain loop on plain arrays against the public step functions."""
@@ -699,7 +709,7 @@ class TestChainKernel:
     def test_matches_public_steps_exactly(self, g, m):
         data, _ = simulate_dataset(staircase_parameters(3, 4, 0.28), 137, 33, seed=21)
         seed = derive_seed(5, g, m)
-        (tau, nu, pi, rho, alpha), energy, iterations, _ = _run_chain(
+        (tau, nu, pi, rho, alpha), energy, iterations, *_ = _run_chain(
             data, g, m, PRIOR, DEFAULT_GIBBS_SWEEPS, DEFAULT_MAX_ITER, DEFAULT_TOL, seed)
         state, params = VariationalState(tau, nu), LBMParameters(g, m, pi, rho, alpha)
         ref_state, ref_params, ref_energy, ref_iterations = self.public_chain(data, g, m, seed)
@@ -732,3 +742,21 @@ class TestChainLogging:
         winner = (f"restart {result.restart_index}: {result.iterations} iterations, "
                   f"converged True, free energy {result.free_energy!r}")
         assert winner in messages[result.restart_index]
+
+    def test_chain_records_carry_their_fields(self, caplog):
+        data, _ = simulate_dataset(staircase_parameters(3, 4, 0.05), 137, 33, seed=8)
+        with caplog.at_level(logging.DEBUG, logger="binlbm"):
+            result = fit(data, 3, 4, PRIOR, restarts=3, seed=2)
+        chains = [r.chain for r in caplog.records if r.levelno == logging.DEBUG]
+        assert [chain["restart"] for chain in chains] == [0, 1, 2]
+        fields = {"g", "m", "restart", "iterations", "converged", "free_energy",
+                  "gibbs_s", "vbayes_s"}
+        assert all(chain.keys() == fields for chain in chains)
+        assert all((chain["g"], chain["m"]) == (3, 4) for chain in chains)
+        assert [chain["free_energy"] for chain in chains] == list(result.chain_free_energies)
+        winner = chains[result.restart_index]
+        assert winner["iterations"] == result.iterations
+        assert winner["free_energy"] == result.free_energy
+        for chain in chains:
+            for key in ("gibbs_s", "vbayes_s"):
+                assert isinstance(chain[key], float) and chain[key] >= 0.0

@@ -115,6 +115,31 @@ class TestTuneRestarts:
         assert at_one.best_pair != (3, 4)
         assert at_two.best_pair == (3, 4)
 
+    def test_every_dataset_replays_from_its_keys(self):
+        # the seed contract at the unit level: data set d at epsilon index e
+        # is simulated from (seed, e, d, 0) and its selection at T restarts
+        # runs from (seed, e, d, T), whatever the other data sets did
+        seed, target, grid = 3, (3, 4), (4, 5)
+        records = tune_restarts([0.05, 0.22], 2, target, grid, prior=PRIOR, t_cap=3,
+                                seed=seed, n=80, q=30)
+        assert not any(flag for record in records for flag in record.censored)
+        stops = []
+        for e, record in enumerate(records):
+            params = staircase_parameters(*target, record.epsilon)
+            for d, stop in enumerate(record.stop_t):
+                data, _ = simulate_dataset(params, 80, 30, seed=derive_seed(seed, e, d, 0))
+
+                def selected(t):
+                    return select_model(data, *grid, prior=PRIOR, restarts=t,
+                                        seed=derive_seed(seed, e, d, t)).best_pair
+
+                assert selected(stop) == target
+                if stop > 1:
+                    assert selected(stop - 1) != target
+                stops.append(stop)
+        # one data set needs a second restart, so T - 1 is replayed too
+        assert max(stops) == 2
+
     def test_censoring_is_recorded(self):
         records = tune_restarts([0.45], datasets_per_eps=2, target_pair=(3, 4),
                                 grid=(4, 5), prior=PRIOR, t_cap=1, seed=5, n=40, q=16)
@@ -271,6 +296,38 @@ def test_bad_chain_keyword_rejected_before_simulating(name, monkeypatch):
     assert drawn == [] and calls == []
     driver(*args, gibbs_sweeps=2, **kwargs)
     assert drawn and calls
+
+
+# chain settings fit refuses; tune_restarts sets restarts itself
+BAD_CHAIN_SETTINGS = [
+    pytest.param(name, {key: value}, id=f"{name}-{key}={value}")
+    for name in SIMULATING
+    for key, value in (("gibbs_sweeps", 0), ("max_iter", 0), ("tol", 0.0), ("tol", np.nan),
+                       ("restarts", 0))
+    if (name, key) != ("tune_restarts", "restarts")
+]
+
+
+@pytest.mark.parametrize("name, setting", BAD_CHAIN_SETTINGS)
+def test_bad_chain_setting_rejected_before_simulating(name, setting, monkeypatch):
+    driver, args, kwargs = DRIVERS[name]
+    drawn = []
+    monkeypatch.setattr(SIMULATING[name], "simulate_dataset",
+                        lambda *a, **k: drawn.append(a) or simulate_dataset(*a, **k))
+    with pytest.raises(ValidationError) as excinfo:
+        driver(*args, **setting, **kwargs)
+    # fit's own message, not a task's
+    assert "failed:" not in str(excinfo.value)
+    assert drawn == []
+
+
+def test_reference_study_checks_chain_settings_before_the_first_run():
+    driver, args, kwargs = DRIVERS["reference_model_study"]
+    with pytest.raises(ValidationError, match="^gibbs_sweeps must be >= 1$"):
+        driver(*args, gibbs_sweeps=0, **kwargs)
+    # it sets restarts itself, at 1
+    with pytest.raises(TypeError, match="restarts"):
+        driver(*args, restarts=2, **kwargs)
 
 
 def failure_message(monkeypatch, k, driver, *args, **kwargs):
