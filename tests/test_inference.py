@@ -22,16 +22,22 @@ from binlbm import (
     vbayes_step,
 )
 from binlbm.inference import (
+    _DELTA_MAX_SHARE,
+    _DELTA_MIN_CELLS,
+    _ROW_MAX_MIN_ROWS,
     DEFAULT_GIBBS_SWEEPS,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     _beta_mode,
+    _count_side,
+    _follow_moves,
     _log_rate_tables,
     _one_hot,
     _run_chain,
     _safe_log,
     _sample_labels,
     _sample_parameters,
+    _softmax,
 )
 from binlbm.model import CoPartition
 from binlbm.rng import derive_rng, derive_seed
@@ -217,11 +223,14 @@ class TestRecountSkip:
 
     @staticmethod
     def count_products(monkeypatch):
+        """Record (width, items) for every one-hot the chain builds: a full
+        count of a side has as many items as the side, a count of moved
+        items fewer."""
         calls = []
         original = inference._one_hot
 
         def counting(labels, width):
-            calls.append(width)
+            calls.append((width, labels.size))
             return original(labels, width)
 
         monkeypatch.setattr(inference, "_one_hot", counting)
@@ -242,15 +251,118 @@ class TestRecountSkip:
     def test_single_groups_count_only_once(self, monkeypatch):
         calls = self.count_products(monkeypatch)
         gibbs_init(self.staircase(137, 33, 3, 4, 0.28), 1, 1, PRIOR, sweeps=50, seed=3)
-        assert calls == [1, 1]
+        assert calls == [(1, 137), (1, 33)]
 
     def test_settled_staircase_skips_most_recounts(self, monkeypatch):
         calls = self.count_products(monkeypatch)
         sweeps = 100
         gibbs_init(self.staircase(300, 260, 3, 4, 0.05), 3, 4, PRIOR, sweeps=sweeps, seed=3)
         # the two initial products, then one per sweep in which a side moved
-        assert calls[:2] == [3, 4]
+        assert calls[:2] == [(3, 300), (4, 260)]
         assert len(calls) <= 2 * sweeps // 10
+
+
+def halfway_rows_staircase(n, q, epsilon, halfway):
+    """A (3, 4) staircase, labels in turn, whose last ``halfway`` rows sit
+    exactly between row groups 1 and 2: ones on column group 3 and on every
+    other column of group 2, with no noise.  Such a row keeps changing group
+    long after the others settle."""
+    z, w = np.arange(n) % 3, np.arange(q) % 4
+    cells = (z[:, None] < w[None, :]).astype(np.int8)
+    cells ^= np.random.default_rng(17).random((n, q)) < epsilon
+    cells[n - halfway:] = (w > 2) | ((w == 2) & (np.arange(q) // 4 % 2 == 0))
+    return cells
+
+
+class TestDeltaRecount:
+    """On a matrix of _DELTA_MIN_CELLS cells or more, a side whose labels
+    moved by fewer than one item in _DELTA_MAX_SHARE updates its counts from
+    the moved items alone; the counts must equal a full recount bit for bit,
+    and so every draw the oracle's."""
+
+    @staticmethod
+    def longhand_side(labels, width, y_items):
+        ones = np.stack([y_items[labels == k].sum(axis=0) for k in range(width)])
+        sizes = np.array([np.count_nonzero(labels == k) for k in range(width)])
+        hot = (labels[:, None] == np.arange(width)).astype(float)
+        return labels, hot, sizes, ones, sizes[:, None] - ones
+
+    def move(self, monkeypatch, shape, side, moves, seed):
+        """Move ``moves`` random items of one side of a random 0/1 matrix,
+        check the side against the long-hand counts, and return the (width,
+        items) of the one-hots built for the move."""
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 2, size=shape).astype(float)
+        y_items, width = (y, 3) if side == "rows" else (y.T, 4)
+        items = y_items.shape[0]
+        labels = rng.integers(0, width, size=items)
+        new = labels.copy()
+        moved = rng.choice(items, size=moves, replace=False)
+        new[moved] = (labels[moved] + rng.integers(1, width, size=moves)) % width
+        calls = TestRecountSkip.count_products(monkeypatch)
+        side_state = _follow_moves(_count_side(labels, width, y_items), new, y_items)
+        for got, want in zip(side_state, self.longhand_side(new, width, y_items)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        return calls[1:]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("side", ["rows", "columns"])
+    def test_moves_either_side_of_the_cut(self, side, offset, monkeypatch):
+        shape = (_DELTA_MIN_CELLS // 64, 64)
+        items = shape[0] if side == "rows" else shape[1]
+        moves = items // _DELTA_MAX_SHARE + offset
+        calls = self.move(monkeypatch, shape, side, moves, seed=offset + 5)
+        # below the cut one one-hot of the moved items, from it a full recount
+        width = 3 if side == "rows" else 4
+        assert calls == [(width, moves if offset < 0 else items)]
+
+    @pytest.mark.parametrize("side", ["rows", "columns"])
+    def test_small_matrix_recounts_in_full(self, side, monkeypatch):
+        shape = (_DELTA_MIN_CELLS // 64 - 1, 64)
+        calls = self.move(monkeypatch, shape, side, 1, seed=7)
+        width, items = (3, shape[0]) if side == "rows" else (4, shape[1])
+        assert calls == [(width, items)]
+
+    def test_unmoved_side_is_kept(self):
+        y = np.random.default_rng(2).integers(0, 2, size=(20, 6)).astype(float)
+        side = _count_side(np.arange(20) % 3, 3, y)
+        assert _follow_moves(side, np.arange(20) % 3, y) is side
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_few_moving_items_match_recount_every_sweep(self, transpose, monkeypatch):
+        cells = halfway_rows_staircase(400, 96, 0.1, 2)
+        data = BinaryDataMatrix(cells.T if transpose else cells)
+        g, m = (4, 3) if transpose else (3, 4)
+        calls = TestRecountSkip.count_products(monkeypatch)
+        for seed in (3, 4, 5):
+            params, part = gibbs_init(data, g, m, PRIOR, seed=seed)
+            ref_params, ref_part = recount_every_sweep_gibbs(data, g, m, PRIOR, seed=seed)
+            for name in ("pi", "rho", "alpha"):
+                assert np.array_equal(getattr(params, name), getattr(ref_params, name)), name
+            assert np.array_equal(part.z, ref_part.z)
+            assert np.array_equal(part.w, ref_part.w)
+        # the halfway rows (columns, transposed) took the delta path many times
+        width = m if transpose else g
+        assert sum(1 for w, items in calls if w == width and items < 400) >= 150
+
+    def test_settled_chain_makes_no_full_size_product(self, monkeypatch):
+        data = BinaryDataMatrix(halfway_rows_staircase(400, 96, 0.1, 2))
+        calls = TestRecountSkip.count_products(monkeypatch)
+        draws = []
+        original = inference._sample_labels
+
+        def counting(rng, logits):
+            draws.append(len(calls))
+            return original(rng, logits)
+
+        monkeypatch.setattr(inference, "_sample_labels", counting)
+        gibbs_init(data, 3, 4, PRIOR, seed=3)
+        # the chain settles within its first ten sweeps; from then on only the
+        # two halfway rows move, and no count reads all of y
+        settled = calls[draws[20]:]
+        assert len(settled) >= 30
+        assert all(items <= 2 for _, items in settled)
 
 
 class TestSampleLabels:
@@ -317,6 +429,33 @@ class TestSampleLabels:
             labels = _sample_labels(np.random.default_rng(seed), logits)
             u = np.random.default_rng(seed).random(items)
             assert labels.tolist() == self.longhand(logits, u)
+
+
+class TestSoftmax:
+    """From _ROW_MAX_MIN_ROWS rows the row max is taken a column at a time;
+    a max never rounds, so the probabilities equal the reduce form's bit for
+    bit, NaN rows included, and a NaN still reaches the free energy."""
+
+    @staticmethod
+    def reduce_softmax(logits):
+        probs = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+        probs /= np.add.reduce(probs, axis=1, keepdims=True)
+        return probs
+
+    @pytest.mark.parametrize("rows", [1, 33, _ROW_MAX_MIN_ROWS - 1, _ROW_MAX_MIN_ROWS, 300])
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_row_softmax_matches_reduce_form(self, width, rows):
+        rng = np.random.default_rng(100 * width + rows)
+        logits = rng.normal(scale=3.0, size=(rows, width))
+        special = rng.random(logits.shape) < 0.3
+        logits[special] = rng.choice([0.0, -0.0, -np.inf, np.nan], size=special.sum())
+        # rows of zeros of both signs, and a row of -inf, whose shift is NaN
+        logits[0] = np.where(np.arange(width) % 2, -0.0, 0.0)
+        logits[-1] = -np.inf
+        with np.errstate(invalid="ignore"):
+            got, want = _softmax(logits, 1), self.reduce_softmax(logits)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(got[-1]).all()
 
 
 class TestVbayesStep:
