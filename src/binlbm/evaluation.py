@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -213,6 +214,43 @@ class RobustnessReport:
         raise KeyError((epsilon, sample_size))
 
 
+def _robustness_dataset(designs, n, q, grid, target, sample_sizes, samples_per_size, seed,
+                        fit_options, key):
+    """Unit of :func:`robustness_experiment`: accept data set (e, d), then its subsamples."""
+    eps_index, dataset_index = key
+    epsilon, params = designs[eps_index]
+    for attempt in range(MAX_ATTEMPTS):
+        with _task(f"epsilon={epsilon}, dataset {dataset_index}, attempt {attempt}"):
+            dataset, _ = simulate_dataset(
+                params, n, q, seed=derive_seed(seed, eps_index, dataset_index, attempt, 0))
+            selection = select_model(
+                dataset, *grid,
+                seed=derive_seed(seed, eps_index, dataset_index, attempt, 1), **fit_options)
+        if selection.best_pair == target:
+            break
+    else:
+        raise ExperimentError(
+            f"epsilon={epsilon}, dataset {dataset_index}: no accepted data set "
+            f"within {MAX_ATTEMPTS} attempts")
+    proportions = selection.best_fit.params.pi
+    outcomes = []
+    for n_sub in sample_sizes:
+        for sample_index in range(samples_per_size):
+            with _task(f"epsilon={epsilon}, dataset {dataset_index}, n={n_sub}, "
+                       f"sample {sample_index}"):
+                sub, sub_ref, _rows = stratified_subsample(
+                    dataset, selection.best_fit.map_part.z, proportions, n_sub,
+                    seed=derive_seed(seed, eps_index, dataset_index, n_sub, sample_index, 2))
+                sub_selection = select_model(
+                    sub, *grid,
+                    seed=derive_seed(seed, eps_index, dataset_index, n_sub, sample_index, 3),
+                    **fit_options)
+                match = best_match(sub_ref, sub_selection.best_fit.map_part.z,
+                                   target[0], sub_selection.best_pair[0])
+            outcomes.append((n_sub, sub_selection.best_pair, match.rate))
+    return DatasetReference(epsilon, dataset_index, attempt + 1, proportions), outcomes
+
+
 def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_per_size,
                           grid, *, seed=0, target_pair=(3, 4), n=137, q=33, threads=1,
                           **fit_options):
@@ -225,18 +263,20 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     sample size draw stratified subsamples, re-run the selection on each,
     tabulate the selected pair, and score the subsample's row partition
     against the reference labels of the sampled rows with
-    :func:`best_match`.  A grid of more than ``MAX_MATCH_GROUPS`` row
-    groups, an invalid epsilon, a keyword that :func:`fit` does not take,
-    or a chain setting that it would refuse, is rejected before any
-    simulation.  The remaining keywords (``prior``, ``restarts``,
-    ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to :func:`fit`,
-    with its defaults.  A failing task keeps its error type,
+    :func:`best_match`.  No sample size, a grid of more than
+    ``MAX_MATCH_GROUPS`` row groups, an invalid epsilon, a keyword that
+    :func:`fit` does not take, or a chain setting that it would refuse, is
+    rejected before any simulation.  The remaining keywords (``prior``,
+    ``restarts``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to
+    :func:`fit`, with its defaults.  A failing task keeps its error type,
     prefixed by its epsilon, data set, and attempt or subsample size and
     index; :class:`ExperimentError` means that no data set was accepted.
     """
     if datasets_per_eps < 1 or samples_per_size < 1:
         raise ValidationError("datasets_per_eps and samples_per_size must be >= 1")
     sample_sizes = [int(s) for s in sample_sizes]
+    if not sample_sizes:
+        raise ValidationError("sample_sizes must hold at least one size")
     if any(s < 1 or s > n for s in sample_sizes):
         raise ValidationError(f"sample sizes must lie in [1, {n}]")
     _check_fit_options(fit_options)
@@ -244,62 +284,21 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     if g_max > MAX_MATCH_GROUPS:
         raise ValidationError(
             f"g_max={g_max} exceeds the {MAX_MATCH_GROUPS} row groups best_match supports")
-    target_g, target_m = _target_in_grid(target_pair, grid)
-    designs = [staircase_parameters(target_g, target_m, epsilon) for epsilon in epsilon_list]
-
-    tasks = [(eps_index, float(epsilon), dataset_index)
-             for eps_index, epsilon in enumerate(epsilon_list)
-             for dataset_index in range(datasets_per_eps)]
-
-    def run_dataset(task):
-        eps_index, epsilon, dataset_index = task
-        accepted = None
-        for attempt in range(MAX_ATTEMPTS):
-            with _task(f"epsilon={epsilon}, dataset {dataset_index}, attempt {attempt}"):
-                dataset, _ = simulate_dataset(
-                    designs[eps_index], n, q,
-                    seed=derive_seed(seed, eps_index, dataset_index, attempt, 0))
-                selection = select_model(
-                    dataset, g_max, m_max,
-                    seed=derive_seed(seed, eps_index, dataset_index, attempt, 1), **fit_options)
-            if selection.best_pair == (target_g, target_m):
-                accepted = (dataset, selection, attempt + 1)
-                break
-        if accepted is None:
-            raise ExperimentError(
-                f"epsilon={epsilon}, dataset {dataset_index}: no accepted data set "
-                f"within {MAX_ATTEMPTS} attempts")
-        dataset, selection, attempts = accepted
-        reference_fit = selection.best_fit
-        ref_labels = reference_fit.map_part.z
-        proportions = reference_fit.params.pi
-        outcomes = []
-        for n_sub in sample_sizes:
-            for sample_index in range(samples_per_size):
-                with _task(f"epsilon={epsilon}, dataset {dataset_index}, n={n_sub}, "
-                           f"sample {sample_index}"):
-                    sub, sub_ref, _rows = stratified_subsample(
-                        dataset, ref_labels, proportions, n_sub,
-                        seed=derive_seed(seed, eps_index, dataset_index, n_sub, sample_index, 2))
-                    sub_selection = select_model(
-                        sub, g_max, m_max,
-                        seed=derive_seed(seed, eps_index, dataset_index, n_sub, sample_index, 3),
-                        **fit_options)
-                    match = best_match(sub_ref, sub_selection.best_fit.map_part.z,
-                                       target_g, sub_selection.best_pair[0])
-                outcomes.append((n_sub, sub_selection.best_pair, match.rate))
-        return DatasetReference(epsilon, dataset_index, attempts, proportions), outcomes
-
-    results = ordered_map(run_dataset, tasks, threads=threads)
+    target = _target_in_grid(target_pair, grid)
+    designs = [(float(e), staircase_parameters(*target, e)) for e in epsilon_list]
+    keys = [(e, d) for e in range(len(designs)) for d in range(datasets_per_eps)]
+    results = ordered_map(partial(_robustness_dataset, designs, n, q, (g_max, m_max), target,
+                                  sample_sizes, samples_per_size, seed, fit_options),
+                          keys, threads=threads)
 
     tallies = {}
-    for (_, outcomes), (_, epsilon, _) in zip(results, tasks):
+    for reference, outcomes in results:
         for size, pair, rate in outcomes:
-            pair_counts, rates_by_g = tallies.setdefault((epsilon, size), ({}, {}))
+            pair_counts, rates_by_g = tallies.setdefault((reference.epsilon, size), ({}, {}))
             pair_counts[pair] = pair_counts.get(pair, 0) + 1
             rates_by_g.setdefault(pair[0], []).append(rate)
     cells = []
-    for epsilon in (float(e) for e in epsilon_list):
+    for epsilon, _ in designs:
         for n_sub in sample_sizes:
             pair_counts, rates_by_g = tallies[(epsilon, n_sub)]
             cells.append(RobustnessCell(

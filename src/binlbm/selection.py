@@ -11,6 +11,7 @@ from __future__ import annotations
 import inspect
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -112,6 +113,19 @@ def _task(key):
         raise type(exc)(f"{key} failed: {exc}") from exc
 
 
+def _grid_cells(g_max, m_max):
+    if g_max < 1 or m_max < 1:
+        raise ValidationError("g_max and m_max must be >= 1")
+    return [(g, m) for g in range(1, g_max + 1) for m in range(1, m_max + 1)]
+
+
+def _fit_cell(data, seed, fit_options, pair):
+    """Unit of :func:`select_model`: the fit of grid cell ``pair`` = (g, m)."""
+    g, m = pair
+    with _task(f"grid cell (g={g}, m={m})"):
+        return fit(data, g, m, seed=derive_seed(seed, g, m), **fit_options)
+
+
 def select_model(data, g_max, m_max, *, seed=0, threads=1, **fit_options):
     """Fit every (g, m) in [1..g_max] x [1..m_max] and return the ICL argmax.
 
@@ -121,16 +135,8 @@ def select_model(data, g_max, m_max, *, seed=0, threads=1, **fit_options):
     remaining keywords (``prior``, ``restarts``, ``gibbs_sweeps``,
     ``max_iter``, ``tol``) go unchanged to :func:`fit`, with its defaults.
     """
-    if g_max < 1 or m_max < 1:
-        raise ValidationError("g_max and m_max must be >= 1")
-    pairs = [(g, m) for g in range(1, g_max + 1) for m in range(1, m_max + 1)]
-
-    def run_cell(pair):
-        g, m = pair
-        with _task(f"grid cell (g={g}, m={m})"):
-            return fit(data, g, m, seed=derive_seed(seed, g, m), **fit_options)
-
-    fits = ordered_map(run_cell, pairs, threads=threads)
+    pairs = _grid_cells(g_max, m_max)
+    fits = ordered_map(partial(_fit_cell, data, seed, fit_options), pairs, threads=threads)
     grid = tuple((g, m, fr) for (g, m), fr in zip(pairs, fits))
     best_pair, best_fit = _argmax_icl(grid)
     return SelectionResult(grid=grid, best_pair=best_pair, best_fit=best_fit)
@@ -167,6 +173,21 @@ class TuningRecord:
         return dict(sorted(counts.items())), censored
 
 
+def _tune_dataset(designs, n, q, grid, target, t_cap, seed, fit_options, key):
+    """Unit of :func:`tune_restarts`: (stopping T, censored) of data set (e, d)."""
+    eps_index, dataset_index = key
+    epsilon, params = designs[eps_index]
+    dataset, _ = simulate_dataset(params, n, q, derive_seed(seed, eps_index, dataset_index, 0))
+    for t_count in range(1, t_cap + 1):
+        with _task(f"epsilon={epsilon}, dataset {dataset_index}, T={t_count}"):
+            result = select_model(dataset, *grid, restarts=t_count,
+                                  seed=derive_seed(seed, eps_index, dataset_index, t_count),
+                                  **fit_options)
+        if result.best_pair == target:
+            return t_count, False
+    return t_cap, True
+
+
 def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
                   t_cap=DEFAULT_T_CAP, seed=0, n=137, q=33, threads=1, **fit_options):
     """Smallest restart count at which grid selection finds the target pair.
@@ -188,31 +209,15 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
         raise ValidationError("datasets_per_eps must be >= 1")
     _check_fit_options(fit_options, "restarts")
     g_max, m_max = grid
-    target_g, target_m = _target_in_grid(target_pair, grid)
-    designs = [staircase_parameters(target_g, target_m, epsilon) for epsilon in epsilon_list]
-    records = []
-    for eps_index, (epsilon, params) in enumerate(zip(epsilon_list, designs)):
-
-        def run_dataset(dataset_index, _eps_index=eps_index, _epsilon=float(epsilon),
-                        _params=params):
-            dataset, _ = simulate_dataset(_params, n, q,
-                                          seed=derive_seed(seed, _eps_index, dataset_index, 0))
-            for t_count in range(1, t_cap + 1):
-                with _task(f"epsilon={_epsilon}, dataset {dataset_index}, T={t_count}"):
-                    result = select_model(
-                        dataset, g_max, m_max, restarts=t_count,
-                        seed=derive_seed(seed, _eps_index, dataset_index, t_count), **fit_options)
-                if result.best_pair == (target_g, target_m):
-                    return t_count, False
-            return t_cap, True
-
-        outcomes = ordered_map(run_dataset, range(datasets_per_eps), threads=threads)
-        records.append(TuningRecord(
-            epsilon=float(epsilon),
-            stop_t=tuple(t for t, _ in outcomes),
-            censored=tuple(flag for _, flag in outcomes),
-        ))
-    return records
+    target = _target_in_grid(target_pair, grid)
+    designs = [(float(e), staircase_parameters(*target, e)) for e in epsilon_list]
+    keys = [(e, d) for e in range(len(designs)) for d in range(datasets_per_eps)]
+    outcomes = ordered_map(partial(_tune_dataset, designs, n, q, (g_max, m_max), target, t_cap,
+                                   seed, fit_options), keys, threads=threads)
+    # one record per epsilon, of (stop_t, censored) over its run of data sets
+    starts = range(0, len(keys), datasets_per_eps)
+    return [TuningRecord(epsilon, *zip(*outcomes[start:start + datasets_per_eps]))
+            for start, (epsilon, _) in zip(starts, designs)]
 
 
 @dataclass(frozen=True)
@@ -273,6 +278,14 @@ class ReferenceStudy:
         return len(self.occurrence_indices)
 
 
+def _reference_run(data, grid, seed, fit_options, run_index):
+    """Unit of :func:`reference_model_study`: the pair selected in a run, and its ICL."""
+    with _task(f"reference run {run_index}"):
+        result = select_model(data, *grid, restarts=1, seed=derive_seed(seed, run_index),
+                              **fit_options)
+    return result.best_pair, result.best_fit.icl_value
+
+
 def reference_model_study(data, grid, *, runs=1, seed=0, threads=1, **fit_options):
     """Repeat single-restart grid selection and study when the best-ICL
     selection reappears.
@@ -282,32 +295,23 @@ def reference_model_study(data, grid, *, runs=1, seed=0, threads=1, **fit_option
     ties), and the inter-arrival summary describes the 1-based gaps between
     the runs that selected it.  The remaining keywords (``prior``,
     ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to :func:`fit`,
-    with its defaults, and are checked before the first run.
+    with its defaults, and are checked before the first run, as is the grid.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
     _check_fit_options(fit_options, "restarts")
-    g_max, m_max = grid
-
-    def run_once(run_index):
-        with _task(f"reference run {run_index}"):
-            result = select_model(data, g_max, m_max, restarts=1,
-                                  seed=derive_seed(seed, run_index), **fit_options)
-        return result.best_pair, result.best_fit.icl_value
-
-    outcomes = ordered_map(run_once, range(runs), threads=threads)
-    best_run = 0
-    for k, (_, icl_value) in enumerate(outcomes):
-        if icl_value > outcomes[best_run][1]:
-            best_run = k
-    reference_pair = outcomes[best_run][0]
+    _grid_cells(*grid)  # refuses an empty grid before the first run
+    outcomes = ordered_map(partial(_reference_run, data, grid, seed, fit_options), range(runs),
+                           threads=threads)
+    # max keeps the earliest of equal ICLs
+    reference_pair, reference_icl = max(outcomes, key=lambda outcome: outcome[1])
     occurrence_indices = tuple(k + 1 for k, (pair, _) in enumerate(outcomes)
                                if pair == reference_pair)
     return ReferenceStudy(
         runs=runs,
         selected_pairs=tuple(pair for pair, _ in outcomes),
         reference_pair=reference_pair,
-        reference_icl=outcomes[best_run][1],
+        reference_icl=reference_icl,
         occurrence_indices=occurrence_indices,
         inter_arrival_summary=summarize_inter_arrivals(occurrence_indices),
     )

@@ -400,6 +400,14 @@ class TestRobustnessExperiment:
             robustness_experiment([0.1, 1.5], 1, [5], 1, grid=(1, 1), target_pair=(1, 1),
                                   n=10, q=5)
 
+    def test_empty_sample_sizes_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a data set with no sample size to draw")
+
+        monkeypatch.setattr(evaluation, "simulate_dataset", no_simulation)
+        with pytest.raises(ValidationError, match="sample_sizes"):
+            robustness_experiment([0.1], 1, [], 1, grid=(2, 2), target_pair=(2, 2), n=20, q=8)
+
     def test_repeated_epsilons_and_sizes_keep_their_cells(self):
         report = robustness_experiment([0.1, 0.1], 1, [12, 16, 12], 1, grid=(2, 2),
                                        target_pair=(2, 2), seed=4, n=30, q=10)

@@ -1,4 +1,5 @@
 import functools
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,8 @@ from binlbm import (
     summarize_inter_arrivals,
     tune_restarts,
 )
-from binlbm import evaluation, selection
+from binlbm import evaluation, parallel, selection
+from binlbm.io import fit_payload
 from binlbm.selection import _argmax_icl
 from binlbm.rng import derive_seed
 from oracles import INTER_ARRIVAL_GAPS
@@ -330,6 +332,18 @@ def test_reference_study_checks_chain_settings_before_the_first_run():
         driver(*args, restarts=2, **kwargs)
 
 
+@pytest.mark.parametrize("grid", [(0, 3), (3, 0)])
+def test_reference_study_checks_its_grid_before_the_first_run(grid, monkeypatch):
+    def no_selection(*args, **kwargs):
+        raise AssertionError("ran a selection before checking the grid")
+
+    monkeypatch.setattr(selection, "select_model", no_selection)
+    data = BinaryDataMatrix(np.eye(4, dtype=int))
+    # the grid's own message, not a run's
+    with pytest.raises(ValidationError, match="^g_max and m_max must be >= 1$"):
+        reference_model_study(data, grid, runs=2)
+
+
 def failure_message(monkeypatch, k, driver, *args, **kwargs):
     """Run ``driver`` with the k-th call of fit (1-based) raising
     NumericalError and return the message it re-raises, which must keep
@@ -397,3 +411,85 @@ class TestDriverErrors:
                                   *self.ROBUSTNESS, **self.ROBUSTNESS_KWARGS)
         assert message == ("epsilon=0.1, dataset 0, n=30, sample 1 failed: "
                            "grid cell (g=1, m=1) failed: synthetic failure")
+
+
+class TestStudyUnits:
+    """Each study's unit is a module-level function of picklable arguments,
+    its key last, and each driver maps it once over its flat key list."""
+
+    DATA = simulate_dataset(staircase_parameters(2, 3, 0.1), 40, 16, seed=31)[0]
+    DESIGNS = [(0.1, staircase_parameters(2, 3, 0.1))]
+
+    @staticmethod
+    def replayed(unit, key):
+        """The unit's result on ``key``, directly and from a pickled copy."""
+        return unit(key), pickle.loads(pickle.dumps(unit))(key)
+
+    def test_grid_cell_replays_from_a_pickle(self):
+        unit = functools.partial(selection._fit_cell, self.DATA, 7, {"prior": PRIOR})
+        direct, thawed = self.replayed(unit, (2, 3))
+        assert fit_payload(direct) == fit_payload(thawed)
+        assert fit_payload(direct) == fit_payload(select_model(self.DATA, 2, 3, seed=7).cell(2, 3))
+
+    def test_tuning_data_set_replays_from_a_pickle(self):
+        unit = functools.partial(selection._tune_dataset, self.DESIGNS, 40, 18, (2, 3), (2, 3), 3,
+                                 5, {})
+        direct, thawed = self.replayed(unit, (0, 1))
+        assert direct == thawed
+        record = tune_restarts([0.1], 2, (2, 3), (2, 3), t_cap=3, seed=5, n=40, q=18)[0]
+        assert direct == (record.stop_t[1], record.censored[1])
+
+    def test_reference_run_replays_from_a_pickle(self):
+        unit = functools.partial(selection._reference_run, self.DATA, (2, 2), 37, {})
+        direct, thawed = self.replayed(unit, 2)
+        assert direct == thawed
+        study = reference_model_study(self.DATA, (2, 2), runs=3, seed=37)
+        assert direct[0] == study.selected_pairs[2]
+
+    def test_robustness_data_set_replays_from_a_pickle(self):
+        unit = functools.partial(evaluation._robustness_dataset, self.DESIGNS, 40, 18, (2, 3),
+                                 (2, 3), [20], 2, 9, {})
+        (reference, outcomes), (thawed_reference, thawed_outcomes) = self.replayed(unit, (0, 0))
+        assert outcomes == thawed_outcomes
+        assert reference.attempts == thawed_reference.attempts
+        assert np.array_equal(reference.proportions, thawed_reference.proportions)
+        report = robustness_experiment([0.1], 1, [20], 2, (2, 3), target_pair=(2, 3), seed=9,
+                                       n=40, q=18)
+        assert report.references[0].attempts == reference.attempts
+        assert report.cell(0.1, 20).pair_counts == {
+            pair: sum(1 for _, p, _ in outcomes if p == pair) for _, pair, _ in outcomes}
+
+    @pytest.fixture
+    def maps(self, monkeypatch):
+        """(unit name, item count) of every ordered_map call, in call order."""
+        calls = []
+
+        def counting(fn, items, threads=1):
+            items = list(items)
+            calls.append((fn.func.__name__, len(items)))
+            return parallel.ordered_map(fn, items, threads=threads)
+
+        monkeypatch.setattr(selection, "ordered_map", counting)
+        monkeypatch.setattr(evaluation, "ordered_map", counting)
+        return calls
+
+    def test_select_model_maps_its_cells_once(self, maps):
+        select_model(self.DATA, 2, 3, seed=1)
+        assert maps == [("_fit_cell", 6)]
+
+    def test_reference_study_maps_its_runs_once(self, maps):
+        reference_model_study(self.DATA, (2, 2), runs=3, seed=37)
+        assert maps == [("_reference_run", 3)] + [("_fit_cell", 4)] * 3
+
+    def test_tune_restarts_maps_every_data_set_once(self, maps):
+        records = tune_restarts([0.1, 0.35, 0.1], 2, (2, 3), (2, 3), t_cap=2, seed=5,
+                                n=40, q=18)
+        selections = sum(sum(record.stop_t) for record in records)
+        assert maps == [("_tune_dataset", 3 * 2)] + [("_fit_cell", 6)] * selections
+
+    def test_robustness_maps_every_data_set_once(self, maps):
+        report = robustness_experiment([0.1, 0.1], 1, [20, 30], 2, (2, 3), target_pair=(2, 3),
+                                       seed=9, n=40, q=18)
+        selections = sum(reference.attempts for reference in report.references) + 2 * 2 * 2
+        # the benchmark's traced count: data sets + selections x cells
+        assert maps == [("_robustness_dataset", 2)] + [("_fit_cell", 6)] * selections
