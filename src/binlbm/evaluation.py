@@ -17,11 +17,12 @@ from functools import partial
 import numpy as np
 
 from .errors import ExperimentError, ValidationError
+from .inference import _check_chain_settings
 from .model import (BinaryDataMatrix, _check_labels, _one_hot, simulate_dataset,
                     staircase_parameters)
 from .parallel import ordered_map
 from .rng import derive_rng, derive_seed
-from .selection import _check_fit_options, _target_in_grid, _task, select_model
+from .selection import _target_in_grid, _task, select_model
 
 __all__ = [
     "MatchResult",
@@ -279,7 +280,7 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
         raise ValidationError("sample_sizes must hold at least one size")
     if any(s < 1 or s > n for s in sample_sizes):
         raise ValidationError(f"sample sizes must lie in [1, {n}]")
-    _check_fit_options(fit_options)
+    _check_chain_settings(**fit_options)
     g_max, m_max = grid
     if g_max > MAX_MATCH_GROUPS:
         raise ValidationError(

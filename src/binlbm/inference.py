@@ -26,6 +26,7 @@ from .model import (
     LBMParameters,
     PriorHyperparams,
     _expected_counts,
+    _Frozen,
     _freeze,
     _one_hot,
     icl,
@@ -53,11 +54,6 @@ DEFAULT_TOL = 1e-6
 # from this many items per draw, summing the label CDF one group row at a time
 # beats np.add.accumulate; on narrower draws the per-row calls cost more
 _ROW_CDF_MIN_ITEMS = 256
-# from this many rows, a row max taken one column at a time beats
-# np.maximum.reduce(axis=1), which loops over the short group axis row by row:
-# 137x7 takes 5 against 12 us, 5000x3 12 against 246 us.  Below it the reduce
-# is as fast from 5 columns on, and from 9 columns it wins up to about 137 rows
-_ROW_MAX_MIN_ROWS = 128
 # a Gibbs side whose labels moved updates its counts from the moved items alone
 # while fewer than one item in this many moved, and recounts in full otherwise.
 # At 5000x200 the moved rows' product stays under a fifth of a full recount up
@@ -71,7 +67,7 @@ _DELTA_MIN_CELLS = 32768
 
 
 @dataclass(frozen=True)
-class VariationalState:
+class VariationalState(_Frozen):
     """Row responsibilities ``tau`` (n x g) and column responsibilities
     ``nu`` (q x m); every row of each is a probability vector."""
 
@@ -125,8 +121,10 @@ def _log_rate_tables(alpha):
 
 
 def _softmax(logits, axis):
-    if axis == 1 and logits.shape[0] >= _ROW_MAX_MIN_ROWS:
-        # the same maxima as the reduce (a max never rounds), a column at a time
+    if axis == 1:
+        # the same maxima as np.maximum.reduce (a max never rounds), a column
+        # at a time: the reduce loops over the short group axis row by row,
+        # 8-10 against 3-6 us at 137x7 and 240-350 against 6-29 us at 5000x3
         top = logits[:, 0].copy()
         for k in range(1, logits.shape[1]):
             np.maximum(top, logits[:, k], out=top)
@@ -406,13 +404,14 @@ def _run_chain(data, g, m, prior, gibbs_sweeps, max_iter, tol, chain_seed):
             gibbs_done - start, time.perf_counter() - gibbs_done)
 
 
-def _check_chain_settings(restarts, gibbs_sweeps, max_iter, tol):
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
-    if gibbs_sweeps < 1:
-        raise ValidationError("gibbs_sweeps must be >= 1")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
+def _check_chain_settings(restarts=1, gibbs_sweeps=DEFAULT_GIBBS_SWEEPS,
+                          max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL, prior=PriorHyperparams()):
+    """Refuse what fit refuses, binding a driver's keywords for fit as fit would."""
+    # prior is here only to bind: PriorHyperparams checks itself
+    for name, value in (("restarts", restarts), ("gibbs_sweeps", gibbs_sweeps),
+                        ("max_iter", max_iter)):
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1")
     if not tol > 0:
         raise ValidationError("tol must be > 0")
 

@@ -7,12 +7,13 @@ Bernoulli with success probability ``alpha[k, l]``.
 
 Group labels are 0-based everywhere in memory; the I/O layer converts to the
 1-based convention used in result files.  All functions here are pure and all
-containers immutable, so shared data can be read from any number of threads.
+containers immutable, also after ``pickle`` or ``copy``, which rebuild them
+through the constructor; so shared data can be read from any number of threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import lgamma
 
 import numpy as np
@@ -61,8 +62,15 @@ def _freeze(obj, name, arr):
     object.__setattr__(obj, name, arr)
 
 
+class _Frozen:
+    """A container that ``pickle`` and ``copy`` rebuild through its constructor."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class BinaryDataMatrix:
+class BinaryDataMatrix(_Frozen):
     """An n x q matrix of 0/1 responses (rows: students, columns: items)."""
 
     values: np.ndarray
@@ -85,7 +93,7 @@ class BinaryDataMatrix:
 
 
 @dataclass(frozen=True)
-class LBMParameters:
+class LBMParameters(_Frozen):
     """Mixing proportions and the g x m matrix of block success rates."""
 
     g: int
@@ -116,7 +124,7 @@ class LBMParameters:
 
 
 @dataclass(frozen=True)
-class CoPartition:
+class CoPartition(_Frozen):
     """Row labels ``z`` (length n, values 0..g-1) and column labels ``w``
     (length q, values 0..m-1).  A group index in range may be unused: empty
     groups are legal.
@@ -143,7 +151,7 @@ class CoPartition:
 
 
 @dataclass(frozen=True)
-class BlockCounts:
+class BlockCounts(_Frozen):
     """Per-block tallies of ones and zeros plus the group sizes."""
 
     n1: np.ndarray

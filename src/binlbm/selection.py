@@ -8,7 +8,6 @@ the grid cell, the run, or the epsilon, data set and T.
 
 from __future__ import annotations
 
-import inspect
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -83,27 +82,6 @@ def _target_in_grid(target_pair, grid):
     return target_g, target_m
 
 
-def _check_fit_options(fit_options, *passed):
-    """Check, before any work starts, the keywords the driver passes to
-    :func:`fit`: TypeError for one that fit does not take, or one in
-    ``passed``, which the driver sets itself; ValidationError for a chain
-    setting that fit would refuse, with fit's defaults for the rest.
-    ``fit`` is read from this module's globals, as the calls read it, and
-    ``inspect.signature`` sees the real parameters through a
-    ``functools.wraps`` wrapper bound there.
-    """
-    doubled = sorted(fit_options.keys() & set(passed))
-    if doubled:
-        raise TypeError(f"the driver sets {doubled[0]!r} for fit itself")
-    try:
-        bound = inspect.signature(fit).bind(None, 1, 1, **fit_options)
-    except TypeError as exc:
-        raise TypeError(f"fit() {exc}") from None
-    bound.apply_defaults()
-    _check_chain_settings(*(bound.arguments[name]
-                            for name in ("restarts", "gibbs_sweeps", "max_iter", "tol")))
-
-
 @contextmanager
 def _task(key):
     """Re-raise a package error as the same type, "<key> failed: <message>"."""
@@ -131,11 +109,12 @@ def select_model(data, g_max, m_max, *, seed=0, threads=1, **fit_options):
 
     Each cell uses an RNG stream derived from (seed, g, m), so the outcome is
     identical whatever the thread schedule.  A failing cell re-raises its
-    error with the same type and the (g, m) pair in the message.  The
-    remaining keywords (``prior``, ``restarts``, ``gibbs_sweeps``,
-    ``max_iter``, ``tol``) go unchanged to :func:`fit`, with its defaults.
+    error with the same type and the (g, m) pair in the message.  The other
+    keywords (``prior``, ``restarts``, ``gibbs_sweeps``, ``max_iter``,
+    ``tol``) go to :func:`fit`, checked before the first cell, with its defaults.
     """
     pairs = _grid_cells(g_max, m_max)
+    _check_chain_settings(**fit_options)
     fits = ordered_map(partial(_fit_cell, data, seed, fit_options), pairs, threads=threads)
     grid = tuple((g, m, fr) for (g, m), fr in zip(pairs, fits))
     best_pair, best_fit = _argmax_icl(grid)
@@ -207,7 +186,7 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
         raise ValidationError("t_cap must be >= 1")
     if datasets_per_eps < 1:
         raise ValidationError("datasets_per_eps must be >= 1")
-    _check_fit_options(fit_options, "restarts")
+    _check_chain_settings(restarts=1, **fit_options)
     g_max, m_max = grid
     target = _target_in_grid(target_pair, grid)
     designs = [(float(e), staircase_parameters(*target, e)) for e in epsilon_list]
@@ -299,7 +278,7 @@ def reference_model_study(data, grid, *, runs=1, seed=0, threads=1, **fit_option
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
-    _check_fit_options(fit_options, "restarts")
+    _check_chain_settings(restarts=1, **fit_options)
     _grid_cells(*grid)  # refuses an empty grid before the first run
     outcomes = ordered_map(partial(_reference_run, data, grid, seed, fit_options), range(runs),
                            threads=threads)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from binlbm import (
     PriorHyperparams,
     ValidationError,
     block_counts,
+    fit,
     icl,
     simulate_dataset,
     staircase_parameters,
@@ -82,6 +85,59 @@ class TestTypes:
             PriorHyperparams(a=0.0)
         with pytest.raises(ValidationError):
             PriorHyperparams(b=-1.0)
+
+
+def leaves(obj, path=""):
+    """(path, value) for every field of a container, through nested ones."""
+    for name, value in vars(obj).items():
+        if hasattr(value, "__dataclass_fields__"):
+            yield from leaves(value, f"{path}{name}.")
+        else:
+            yield f"{path}{name}", value
+
+
+class TestFrozenCopies:
+    """A copy made by pickle or copy is equal and its arrays stay read-only."""
+
+    DATA, PART = simulate_dataset(staircase_parameters(2, 2, 0.2), 12, 6, seed=3)
+    FIT = fit(DATA, 2, 2, PRIOR, seed=4)
+    CONTAINERS = {
+        "BinaryDataMatrix": DATA,
+        "LBMParameters": FIT.params,
+        "CoPartition": PART,
+        "BlockCounts": block_counts(DATA, PART),
+        "VariationalState": FIT.state,
+        "FitResult": FIT,
+    }
+    COPIES = {
+        "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+        "deepcopy": copy.deepcopy,
+        "copy": copy.copy,
+    }
+
+    @pytest.mark.parametrize("how", COPIES)
+    @pytest.mark.parametrize("name", CONTAINERS)
+    def test_copy_is_equal_and_read_only(self, name, how):
+        original = self.CONTAINERS[name]
+        clone = self.COPIES[how](original)
+        assert type(clone) is type(original)
+        want = dict(leaves(original))
+        got = dict(leaves(clone))
+        assert got.keys() == want.keys()
+        for path, value in got.items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, path
+                assert value.dtype == want[path].dtype, path
+                assert np.array_equal(value, want[path]), path
+            else:
+                assert value == want[path], path
+
+    def test_copy_is_checked_again(self):
+        # the constructor rebuilds a copy, so it checks it too
+        part = CoPartition(np.array([0, 1]), np.array([0]), 2, 1)
+        object.__setattr__(part, "g", 1)
+        with pytest.raises(ValidationError):
+            pickle.loads(pickle.dumps(part))
 
 
 class TestStaircase:

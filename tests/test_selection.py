@@ -1,4 +1,5 @@
 import functools
+import inspect
 import pickle
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from binlbm import (
     summarize_inter_arrivals,
     tune_restarts,
 )
-from binlbm import evaluation, parallel, selection
+from binlbm import evaluation, inference, parallel, selection
 from binlbm.io import fit_payload
 from binlbm.selection import _argmax_icl
 from binlbm.rng import derive_seed
@@ -87,10 +88,20 @@ class TestSelectModel:
         with pytest.raises(ValidationError):
             select_model(data, 0, 1, prior=PRIOR)
 
-    def test_cell_error_keeps_its_type(self):
-        data = BinaryDataMatrix(np.zeros((2, 2), dtype=int))
-        with pytest.raises(ValidationError, match=r"grid cell \(g=1, m=1\).*restarts must be"):
-            select_model(data, 2, 2, restarts=0)
+    def test_cell_error_keeps_its_type(self, monkeypatch):
+        real_fit = selection.fit
+
+        def refusing(data, g, m, **kwargs):
+            if (g, m) == (2, 1):
+                raise ValidationError("synthetic refusal")
+            return real_fit(data, g, m, **kwargs)
+
+        monkeypatch.setattr(selection, "fit", refusing)
+        data = BinaryDataMatrix(np.eye(4, dtype=int))
+        with pytest.raises(ValidationError) as excinfo:
+            select_model(data, 2, 2)
+        assert excinfo.type is ValidationError
+        assert str(excinfo.value) == "grid cell (g=2, m=1) failed: synthetic refusal"
 
 
 class TestTuneRestarts:
@@ -282,8 +293,8 @@ def test_bad_chain_keyword_rejected_before_simulating(name, monkeypatch):
             driver(*args, restarts=2, **kwargs)
     assert drawn == []
 
-    # fit is checked as the calls find it, so a functools.wraps wrapper bound
-    # in its place, as a tracer binds one, keeps the real parameters
+    # the check does not read fit, so a functools.wraps wrapper bound in its
+    # place, as a tracer binds one, changes nothing
     calls = []
     real_fit = selection.fit
 
@@ -303,7 +314,7 @@ def test_bad_chain_keyword_rejected_before_simulating(name, monkeypatch):
 # chain settings fit refuses; tune_restarts sets restarts itself
 BAD_CHAIN_SETTINGS = [
     pytest.param(name, {key: value}, id=f"{name}-{key}={value}")
-    for name in SIMULATING
+    for name in ("select_model", *SIMULATING)
     for key, value in (("gibbs_sweeps", 0), ("max_iter", 0), ("tol", 0.0), ("tol", np.nan),
                        ("restarts", 0))
     if (name, key) != ("tune_restarts", "restarts")
@@ -312,15 +323,29 @@ BAD_CHAIN_SETTINGS = [
 
 @pytest.mark.parametrize("name, setting", BAD_CHAIN_SETTINGS)
 def test_bad_chain_setting_rejected_before_simulating(name, setting, monkeypatch):
+    # select_model simulates nothing: it refuses before its first cell
     driver, args, kwargs = DRIVERS[name]
-    drawn = []
-    monkeypatch.setattr(SIMULATING[name], "simulate_dataset",
-                        lambda *a, **k: drawn.append(a) or simulate_dataset(*a, **k))
+    drawn, calls = [], []
+    if name in SIMULATING:
+        monkeypatch.setattr(SIMULATING[name], "simulate_dataset",
+                            lambda *a, **k: drawn.append(a) or simulate_dataset(*a, **k))
+    monkeypatch.setattr(selection, "fit", lambda *a, **k: calls.append(a[1:3]))
     with pytest.raises(ValidationError) as excinfo:
         driver(*args, **setting, **kwargs)
     # fit's own message, not a task's
     assert "failed:" not in str(excinfo.value)
-    assert drawn == []
+    assert drawn == [] and calls == []
+
+
+def test_chain_settings_check_binds_fit_chain_keywords():
+    # the check takes every keyword of fit but the data, the cell and the
+    # seed, with fit's defaults: a keyword added to fit alone fails here
+    def keywords(function):
+        return {name: parameter.default
+                for name, parameter in inspect.signature(function).parameters.items()
+                if name not in ("data", "g", "m", "seed")}
+
+    assert keywords(inference._check_chain_settings) == keywords(inference.fit)
 
 
 def test_reference_study_checks_chain_settings_before_the_first_run():
