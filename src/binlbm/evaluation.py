@@ -11,6 +11,7 @@ groups per side, finds that minimum (see :func:`_best_surjection`).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -142,6 +143,13 @@ def _largest_remainder(proportions, total, capacity):
     return allocation
 
 
+def _whole_size(size, name):
+    """``size`` as an int, refused unless it is a whole number."""
+    if size != int(size):
+        raise ValidationError(f"{name} must be a whole number, got {size}")
+    return int(size)
+
+
 def stratified_subsample(data, ref_z, proportions, n_sub, seed):
     """Sample ``n_sub`` rows without replacement, allocating per reference
     group by largest-remainder rounding of ``n_sub * proportions`` (ties go
@@ -162,6 +170,7 @@ def stratified_subsample(data, ref_z, proportions, n_sub, seed):
     ref = _check_labels(ref_z, prop.size, "ref_z")
     if ref.size != data.n:
         raise ValidationError("ref_z length must equal the number of data rows")
+    n_sub = _whole_size(n_sub, "n_sub")
     if not 1 <= n_sub <= data.n:
         raise ValidationError(f"n_sub must lie in [1, {data.n}], got {n_sub}")
     allocation = _largest_remainder(prop, n_sub, np.bincount(ref, minlength=prop.size))
@@ -275,7 +284,7 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     """
     if datasets_per_eps < 1 or samples_per_size < 1:
         raise ValidationError("datasets_per_eps and samples_per_size must be >= 1")
-    sample_sizes = [int(s) for s in sample_sizes]
+    sample_sizes = [_whole_size(s, "sample size") for s in sample_sizes]
     if not sample_sizes:
         raise ValidationError("sample_sizes must hold at least one size")
     if any(s < 1 or s > n for s in sample_sizes):
@@ -295,8 +304,8 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     tallies = {}
     for reference, outcomes in results:
         for size, pair, rate in outcomes:
-            pair_counts, rates_by_g = tallies.setdefault((reference.epsilon, size), ({}, {}))
-            pair_counts[pair] = pair_counts.get(pair, 0) + 1
+            pair_counts, rates_by_g = tallies.setdefault((reference.epsilon, size), (Counter(), {}))
+            pair_counts[pair] += 1
             rates_by_g.setdefault(pair[0], []).append(rate)
     cells = []
     for epsilon, _ in designs:

@@ -56,10 +56,10 @@ DEFAULT_TOL = 1e-6
 _ROW_CDF_MIN_ITEMS = 256
 # a Gibbs side whose labels moved updates its counts from the moved items alone
 # while fewer than one item in this many moved, and recounts in full otherwise.
-# At 5000x200 the moved rows' product stays under a fifth of a full recount up
-# to one row in eight; the moved columns, gathered across strided rows, cost
-# about 0.4 of one at one column in eight and match one near one in three
-_DELTA_MAX_SHARE = 8
+# At 5000x200 a row delta at one row in five costs 0.26 ms against 0.76 ms for
+# a full recount; the moved columns, gathered across strided rows, match a full
+# recount near one column in three
+_DELTA_MAX_SHARE = 4
 # below this many cells a full recount of a side costs no more than the update
 # for one moved item: 7-8 against 12-14 us at 137x33, 13-14 against 14-20 us
 # at 300x60, and 28-39 against 20-25 us at 500x100

@@ -9,6 +9,7 @@ runs write identical bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -136,13 +137,9 @@ def write_matrix_csv(data, path, header=None):
 
 def _group_spans(sorted_labels):
     # contiguous 1-based [start, end] span per group present, after reordering
-    spans = []
-    position = 0
-    for label in np.unique(sorted_labels):
-        size = int((sorted_labels == label).sum())
-        spans.append((int(label) + 1, position + 1, position + size))
-        position += size
-    return spans
+    labels, sizes = np.unique(sorted_labels, return_counts=True)
+    ends = np.cumsum(sizes)
+    return list(zip((labels + 1).tolist(), (ends - sizes + 1).tolist(), ends.tolist()))
 
 
 def export_reordered(data, fit_result, out_prefix):
@@ -246,9 +243,6 @@ def tuning_payload(records):
 
 
 def reference_payload(study):
-    pair_counts = {}
-    for pair in study.selected_pairs:
-        pair_counts[pair] = pair_counts.get(pair, 0) + 1
     summary = study.inter_arrival_summary
     return {
         "runs": study.runs,
@@ -258,7 +252,7 @@ def reference_payload(study):
         "occurrences": study.occurrences,
         "occurrence_indices": list(study.occurrence_indices),
         "pair_distribution": [{"g": g, "m": m, "count": c}
-                              for (g, m), c in sorted(pair_counts.items())],
+                              for (g, m), c in sorted(Counter(study.selected_pairs).items())],
         "inter_arrival_summary": {
             "min": summary.minimum,
             "q1": summary.first_quartile,

@@ -8,6 +8,7 @@ the grid cell, the run, or the epsilon, data set and T.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -62,16 +63,9 @@ class SelectionResult:
 
 
 def _argmax_icl(grid):
-    best = None
-    for g, m, fit_result in grid:
-        if best is None:
-            best = (g, m, fit_result)
-            continue
-        bg, bm, bf = best
-        if fit_result.icl_value > bf.icl_value or (
-                fit_result.icl_value == bf.icl_value and (g + m, g) < (bg + bm, bg)):
-            best = (g, m, fit_result)
-    return (best[0], best[1]), best[2]
+    # the largest ICL; on ties the smallest g + m, then the smallest g
+    g, m, fit_result = max(grid, key=lambda c: (c[2].icl_value, -(c[0] + c[1]), -c[0]))
+    return (g, m), fit_result
 
 
 def _target_in_grid(target_pair, grid):
@@ -142,14 +136,8 @@ class TuningRecord:
 
     def distribution(self):
         """Counts of uncensored stopping values, plus the censored tally."""
-        counts = {}
-        censored = 0
-        for t, flag in zip(self.stop_t, self.censored):
-            if flag:
-                censored += 1
-            else:
-                counts[t] = counts.get(t, 0) + 1
-        return dict(sorted(counts.items())), censored
+        counts = Counter(t for t, flag in zip(self.stop_t, self.censored) if not flag)
+        return dict(sorted(counts.items())), sum(1 for flag in self.censored if flag)
 
 
 def _tune_dataset(designs, n, q, grid, target, t_cap, seed, fit_options, key):

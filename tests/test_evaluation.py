@@ -237,6 +237,15 @@ class TestStratifiedSubsample:
         assert np.array_equal(sub.values, data.values)
         assert np.array_equal(labels, truth.z)
 
+    def test_fractional_size_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew rows for a size that is not a whole number")
+
+        data = BinaryDataMatrix(np.random.default_rng(3).integers(0, 2, size=(40, 6)))
+        monkeypatch.setattr(evaluation, "derive_rng", no_draw)
+        with pytest.raises(ValidationError, match="n_sub must be a whole number, got 20.9"):
+            stratified_subsample(data, np.arange(40) % 2, [0.5, 0.5], 20.9, seed=3)
+
     def test_largest_remainder_allocation(self):
         # 20 rows over three equal proportions: quotas 6.67 each, two +1 of
         # the remainder go to the first two groups
@@ -407,6 +416,15 @@ class TestRobustnessExperiment:
         monkeypatch.setattr(evaluation, "simulate_dataset", no_simulation)
         with pytest.raises(ValidationError, match="sample_sizes"):
             robustness_experiment([0.1], 1, [], 1, grid=(2, 2), target_pair=(2, 2), n=20, q=8)
+
+    def test_fractional_size_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a data set for a size that is not a whole number")
+
+        monkeypatch.setattr(evaluation, "simulate_dataset", no_simulation)
+        with pytest.raises(ValidationError, match="sample size must be a whole number, got 20.9"):
+            robustness_experiment([0.1], 1, [20.9], 1, (2, 3), target_pair=(2, 3), n=40, q=18,
+                                  seed=9)
 
     def test_repeated_epsilons_and_sizes_keep_their_cells(self):
         report = robustness_experiment([0.1, 0.1], 1, [12, 16, 12], 1, grid=(2, 2),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -343,6 +344,12 @@ class TestExportReordered:
         assert "row-group 1: rows 1-2" in summary
         assert "row-group 2: rows 3-4" in summary
 
+    def test_group_spans_skip_absent_groups(self):
+        spans = lbm_io._group_spans(np.array([0, 0, 2, 2, 2, 3]))
+        assert spans == [(1, 1, 2), (3, 3, 5), (4, 6, 6)]
+        assert all(type(v) is int for span in spans for v in span)
+        assert lbm_io._group_spans(np.array([1, 1, 1])) == [(2, 1, 3)]
+
     def test_summary_layout(self, tmp_path):
         rng = np.random.default_rng(9)
         data = BinaryDataMatrix(rng.integers(0, 2, size=(5, 4)))
@@ -366,6 +373,19 @@ class TestExportReordered:
 
 
 class TestWriteJson:
+    def test_reference_pair_distribution_sorted(self):
+        summary = SimpleNamespace(minimum=1.0, first_quartile=1.0, median=2.0, mean=2.0,
+                                  third_quartile=3.0, maximum=3.0)
+        study = SimpleNamespace(runs=6, reference_pair=(2, 3), reference_icl=-10.5,
+                                occurrences=2, occurrence_indices=(1, 4),
+                                selected_pairs=((2, 3), (1, 4), (2, 1), (2, 3), (1, 2), (1, 4)),
+                                inter_arrival_summary=summary)
+        payload = lbm_io.reference_payload(study)
+        assert payload["pair_distribution"] == [
+            {"g": 1, "m": 2, "count": 1}, {"g": 1, "m": 4, "count": 2},
+            {"g": 2, "m": 1, "count": 1}, {"g": 2, "m": 3, "count": 2}]
+        json.dumps(payload)
+
     def test_written_bytes(self, tmp_path):
         # config-shaped: a tuple, a nested dict, keys out of order
         payload = {

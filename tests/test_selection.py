@@ -10,6 +10,7 @@ from binlbm import (
     BinaryDataMatrix,
     NumericalError,
     PriorHyperparams,
+    TuningRecord,
     ValidationError,
     icl,
     inter_arrivals,
@@ -82,6 +83,12 @@ class TestSelectModel:
         grid = (cell(1, 1, -5.0), cell(1, 2, -3.0), cell(2, 1, -3.0), cell(2, 2, -3.0))
         pair, _ = _argmax_icl(grid)
         assert pair == (1, 2)  # smallest g + m, then smallest g
+
+    def test_larger_icl_beats_parsimony(self):
+        grid = tuple((g, m, SimpleNamespace(icl_value=value))
+                     for g, m, value in [(1, 1, -5.0), (1, 2, -3.0), (2, 2, -2.5), (2, 1, -3.0)])
+        pair, best = _argmax_icl(grid)
+        assert pair == (2, 2) and best is grid[2][2]
 
     def test_grid_bounds_validated(self):
         data = BinaryDataMatrix(np.zeros((2, 2), dtype=int))
@@ -161,6 +168,13 @@ class TestTuneRestarts:
         assert record.stop_t == (1, 1)
         counts, censored = record.distribution()
         assert counts == {} and censored == 2
+
+    def test_distribution_counts_by_t_and_tallies_censored(self):
+        record = TuningRecord(0.1, stop_t=(3, 1, 5, 3, 2, 1, 5),
+                              censored=(False, False, True, False, False, False, True))
+        counts, censored = record.distribution()
+        assert list(counts.items()) == [(1, 2), (2, 1), (3, 2)]
+        assert censored == 2 and type(censored) is int
 
     def test_target_outside_grid_rejected(self):
         with pytest.raises(ValidationError):
