@@ -2,9 +2,9 @@
 
 Every subcommand is driven by one master ``--seed``; there is no hidden
 entropy, so rerunning a command rewrites byte-identical result files.  The
-payload embeds the command name, the parameter set and the seed.  --threads
-only changes scheduling, never results, and is therefore excluded from the
-embedded config.
+payload embeds the command name, the parameter set and the seed.  Runs are
+serial: --threads is still accepted, so existing command lines keep working,
+but it changes nothing and is left out of the embedded config.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import LbmError
+from .errors import LbmError, ValidationError
 from .evaluation import robustness_experiment
 from .inference import DEFAULT_GIBBS_SWEEPS, DEFAULT_MAX_ITER, DEFAULT_TOL, fit
 from .io import (
@@ -85,7 +85,7 @@ def _cmd_fit(args):
 def _cmd_select(args):
     data = load_matrix(args.data)
     selection = select_model(data, args.g_max, args.m_max, restarts=args.restarts,
-                             seed=args.seed, threads=args.threads, **_fit_options(args))
+                             seed=args.seed, **_fit_options(args))
     _write_result(args, selection_payload(selection), args.out)
     print(f"selected (g, m) = {selection.best_pair} with "
           f"ICL {selection.best_fit.icl_value:.6f} -> {args.out}")
@@ -94,8 +94,7 @@ def _cmd_select(args):
 def _cmd_tune_t(args):
     records = tune_restarts(args.epsilon, args.datasets, args.target,
                             (args.g_max, args.m_max), t_cap=args.t_cap,
-                            seed=args.seed, n=args.n, q=args.q,
-                            threads=args.threads, **_fit_options(args))
+                            seed=args.seed, n=args.n, q=args.q, **_fit_options(args))
     _write_result(args, tuning_payload(records), args.out)
     for record in records:
         counts, censored = record.distribution()
@@ -106,7 +105,7 @@ def _cmd_tune_t(args):
 def _cmd_refmodel(args):
     data = load_matrix(args.data)
     study = reference_model_study(data, (args.g_max, args.m_max), runs=args.runs,
-                                  seed=args.seed, threads=args.threads, **_fit_options(args))
+                                  seed=args.seed, **_fit_options(args))
     _write_result(args, reference_payload(study), args.out)
     print(f"reference pair {study.reference_pair} selected "
           f"{study.occurrences}/{study.runs} times -> {args.out}")
@@ -116,8 +115,7 @@ def _cmd_robustness(args):
     report = robustness_experiment(args.epsilon, args.datasets, args.sizes,
                                    args.samples_per_size, (args.g_max, args.m_max),
                                    seed=args.seed, target_pair=args.target,
-                                   n=args.n, q=args.q, restarts=args.restarts,
-                                   threads=args.threads, **_fit_options(args))
+                                   n=args.n, q=args.q, restarts=args.restarts, **_fit_options(args))
     _write_result(args, robustness_payload(report), args.out)
     print(f"wrote robustness report ({len(report.cells)} cells) to {args.out}")
 
@@ -158,7 +156,7 @@ def build_parser():
         ("--gibbs-sweeps", dict(type=int, default=DEFAULT_GIBBS_SWEEPS,
                                 help="Gibbs initialization sweeps per chain")))
     threads = _flags(("--threads", dict(type=int, default=1, help=(
-        "worker threads: faster only on large matrices, slower at 137x33 (same results)"))))
+        "accepted for existing command lines; runs are serial whatever its value"))))
     data = _flags(("--data", dict(required=True)))
     pair = _flags(("--g", dict(type=int, required=True)), ("--m", dict(type=int, required=True)))
     restarts = _flags(("--restarts", dict(type=int, default=1)))
@@ -170,7 +168,7 @@ def build_parser():
                    ("--target", dict(type=_parse_pair, default=(3, 4),
                                      help="target pair, e.g. 3,4")))
     fitting = [seed, chain]
-    threaded = [seed, chain, threads]
+    with_threads = [seed, chain, threads]
 
     def command(name, handler, parents, summary, out_help=None):
         p = sub.add_parser(name, parents=parents, help=summary)
@@ -185,15 +183,15 @@ def build_parser():
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--labels-out", default=None, help="optional JSON path for the true labels")
     command("fit", _cmd_fit, [data, pair, restarts, *fitting], "fit a single (g, m) cell")
-    command("select", _cmd_select, [data, grid, restarts, *threaded],
+    command("select", _cmd_select, [data, grid, restarts, *with_threads],
             "ICL model selection over a grid")
-    p = command("tune-t", _cmd_tune_t, [study, grid, design, *threaded],
+    p = command("tune-t", _cmd_tune_t, [study, grid, design, *with_threads],
                 "first restart count that selects the target pair")
     p.add_argument("--t-cap", type=int, default=DEFAULT_T_CAP)
-    p = command("refmodel", _cmd_refmodel, [data, grid, *threaded],
+    p = command("refmodel", _cmd_refmodel, [data, grid, *with_threads],
                 "repeated single-restart selection study")
     p.add_argument("--runs", type=int, required=True)
-    p = command("robustness", _cmd_robustness, [study, grid, design, restarts, *threaded],
+    p = command("robustness", _cmd_robustness, [study, grid, design, restarts, *with_threads],
                 "subsample robustness of grid selection")
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--samples-per-size", type=int, default=10)
@@ -205,6 +203,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError(f"threads must be >= 1, got {args.threads}")
         args.handler(args)
     except (LbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ groups per side, finds that minimum (see :func:`_best_surjection`).
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -145,7 +146,8 @@ def _largest_remainder(proportions, total, capacity):
 
 def _whole_size(size, name):
     """``size`` as an int, refused unless it is a whole number."""
-    if size != int(size):
+    # None, NaN and the infinities are refused before int() could raise
+    if not (isinstance(size, numbers.Real) and abs(size) < np.inf and size == int(size)):
         raise ValidationError(f"{name} must be a whole number, got {size}")
     return int(size)
 
@@ -262,8 +264,7 @@ def _robustness_dataset(designs, n, q, grid, target, sample_sizes, samples_per_s
 
 
 def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_per_size,
-                          grid, *, seed=0, target_pair=(3, 4), n=137, q=33, threads=1,
-                          **fit_options):
+                          grid, *, seed=0, target_pair=(3, 4), n=137, q=33, **fit_options):
     """Stability of grid selection under stratified subsampling of the rows.
 
     Per epsilon and data set: simulate from the staircase design until the
@@ -273,7 +274,7 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     sample size draw stratified subsamples, re-run the selection on each,
     tabulate the selected pair, and score the subsample's row partition
     against the reference labels of the sampled rows with
-    :func:`best_match`.  No sample size, a grid of more than
+    :func:`best_match`.  No epsilon or sample size, a grid of more than
     ``MAX_MATCH_GROUPS`` row groups, an invalid epsilon, a keyword that
     :func:`fit` does not take, or a chain setting that it would refuse, is
     rejected before any simulation.  The remaining keywords (``prior``,
@@ -296,10 +297,11 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
             f"g_max={g_max} exceeds the {MAX_MATCH_GROUPS} row groups best_match supports")
     target = _target_in_grid(target_pair, grid)
     designs = [(float(e), staircase_parameters(*target, e)) for e in epsilon_list]
+    if not designs:
+        raise ValidationError("epsilon_list must hold at least one epsilon")
     keys = [(e, d) for e in range(len(designs)) for d in range(datasets_per_eps)]
     results = ordered_map(partial(_robustness_dataset, designs, n, q, (g_max, m_max), target,
-                                  sample_sizes, samples_per_size, seed, fit_options),
-                          keys, threads=threads)
+                                  sample_sizes, samples_per_size, seed, fit_options), keys)
 
     tallies = {}
     for reference, outcomes in results:

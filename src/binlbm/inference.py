@@ -51,9 +51,6 @@ _TINY = np.finfo(float).tiny
 DEFAULT_GIBBS_SWEEPS = 100
 DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-6
-# from this many items per draw, summing the label CDF one group row at a time
-# beats np.add.accumulate; on narrower draws the per-row calls cost more
-_ROW_CDF_MIN_ITEMS = 256
 # a Gibbs side whose labels moved updates its counts from the moved items alone
 # while fewer than one item in this many moved, and recounts in full otherwise.
 # At 5000x200 a row delta at one row in five costs 0.26 ms against 0.76 ms for
@@ -143,13 +140,10 @@ def _sample_labels(rng, logits):
     # a uniform above every sum, even one that rounding leaves above the full
     # sum, takes the last group; at g = 1 the slice is empty and every label is 0
     head = _softmax(logits, 0)[:-1]
-    if logits.shape[1] < _ROW_CDF_MIN_ITEMS:
-        head = np.add.accumulate(head, axis=0)
-    else:
-        # accumulate runs the short group axis as its inner loop; a running sum
-        # over whole group rows adds the same terms in the same order
-        for k in range(1, head.shape[0]):
-            np.add(head[k - 1], head[k], out=head[k])
+    # a running sum over whole group rows adds the terms in np.add.accumulate's
+    # order, without its inner loop over the short group axis
+    for k in range(1, head.shape[0]):
+        np.add(head[k - 1], head[k], out=head[k])
     return np.add.reduce(head < rng.random(logits.shape[1]), axis=0)
 
 

@@ -8,7 +8,7 @@ Bernoulli with success probability ``alpha[k, l]``.
 Group labels are 0-based everywhere in memory; the I/O layer converts to the
 1-based convention used in result files.  All functions here are pure and all
 containers immutable, also after ``pickle`` or ``copy``, which rebuild them
-through the constructor; so shared data can be read from any number of threads.
+through the constructor.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Every random subtask (a restart chain, a grid cell, a simulated data set, a
 subsample draw) gets its own generator keyed by the master seed plus a short
-integer path.  Results therefore never depend on execution order or thread
-schedule, and any subtask can be replayed in isolation.
+integer path.  Results therefore never depend on execution order, and any
+subtask can be replayed in isolation.
 """
 
 from __future__ import annotations

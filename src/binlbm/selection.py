@@ -98,18 +98,18 @@ def _fit_cell(data, seed, fit_options, pair):
         return fit(data, g, m, seed=derive_seed(seed, g, m), **fit_options)
 
 
-def select_model(data, g_max, m_max, *, seed=0, threads=1, **fit_options):
+def select_model(data, g_max, m_max, *, seed=0, **fit_options):
     """Fit every (g, m) in [1..g_max] x [1..m_max] and return the ICL argmax.
 
-    Each cell uses an RNG stream derived from (seed, g, m), so the outcome is
-    identical whatever the thread schedule.  A failing cell re-raises its
-    error with the same type and the (g, m) pair in the message.  The other
+    Each cell uses an RNG stream derived from (seed, g, m), so its fit does
+    not depend on the other cells.  A failing cell re-raises its error with
+    the same type and the (g, m) pair in the message.  The other
     keywords (``prior``, ``restarts``, ``gibbs_sweeps``, ``max_iter``,
     ``tol``) go to :func:`fit`, checked before the first cell, with its defaults.
     """
     pairs = _grid_cells(g_max, m_max)
     _check_chain_settings(**fit_options)
-    fits = ordered_map(partial(_fit_cell, data, seed, fit_options), pairs, threads=threads)
+    fits = ordered_map(partial(_fit_cell, data, seed, fit_options), pairs)
     grid = tuple((g, m, fr) for (g, m), fr in zip(pairs, fits))
     best_pair, best_fit = _argmax_icl(grid)
     return SelectionResult(grid=grid, best_pair=best_pair, best_fit=best_fit)
@@ -156,7 +156,7 @@ def _tune_dataset(designs, n, q, grid, target, t_cap, seed, fit_options, key):
 
 
 def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
-                  t_cap=DEFAULT_T_CAP, seed=0, n=137, q=33, threads=1, **fit_options):
+                  t_cap=DEFAULT_T_CAP, seed=0, n=137, q=33, **fit_options):
     """Smallest restart count at which grid selection finds the target pair.
 
     For each epsilon, simulates ``datasets_per_eps`` data sets of size (n, q)
@@ -165,10 +165,10 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
     selection with T restarts, until the target pair is selected or ``t_cap``
     is reached (recorded as censored; censoring is a normal outcome).  A
     fresh data set is drawn only in the outer loop, never while T grows.
-    Every epsilon, every keyword for :func:`fit` and every chain setting is
-    checked before any data set is drawn.  The remaining keywords
-    (``prior``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to
-    :func:`fit`, with its defaults.
+    The epsilons (at least one), every keyword for :func:`fit` and every
+    chain setting are checked before any data set is drawn.  The remaining
+    keywords (``prior``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go
+    unchanged to :func:`fit`, with its defaults.
     """
     if t_cap < 1:
         raise ValidationError("t_cap must be >= 1")
@@ -178,9 +178,11 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
     g_max, m_max = grid
     target = _target_in_grid(target_pair, grid)
     designs = [(float(e), staircase_parameters(*target, e)) for e in epsilon_list]
+    if not designs:
+        raise ValidationError("epsilon_list must hold at least one epsilon")
     keys = [(e, d) for e in range(len(designs)) for d in range(datasets_per_eps)]
     outcomes = ordered_map(partial(_tune_dataset, designs, n, q, (g_max, m_max), target, t_cap,
-                                   seed, fit_options), keys, threads=threads)
+                                   seed, fit_options), keys)
     # one record per epsilon, of (stop_t, censored) over its run of data sets
     starts = range(0, len(keys), datasets_per_eps)
     return [TuningRecord(epsilon, *zip(*outcomes[start:start + datasets_per_eps]))
@@ -253,7 +255,7 @@ def _reference_run(data, grid, seed, fit_options, run_index):
     return result.best_pair, result.best_fit.icl_value
 
 
-def reference_model_study(data, grid, *, runs=1, seed=0, threads=1, **fit_options):
+def reference_model_study(data, grid, *, runs=1, seed=0, **fit_options):
     """Repeat single-restart grid selection and study when the best-ICL
     selection reappears.
 
@@ -268,8 +270,7 @@ def reference_model_study(data, grid, *, runs=1, seed=0, threads=1, **fit_option
         raise ValidationError("runs must be >= 1")
     _check_chain_settings(restarts=1, **fit_options)
     _grid_cells(*grid)  # refuses an empty grid before the first run
-    outcomes = ordered_map(partial(_reference_run, data, grid, seed, fit_options), range(runs),
-                           threads=threads)
+    outcomes = ordered_map(partial(_reference_run, data, grid, seed, fit_options), range(runs))
     # max keeps the earliest of equal ICLs
     reference_pair, reference_icl = max(outcomes, key=lambda outcome: outcome[1])
     occurrence_indices = tuple(k + 1 for k, (pair, _) in enumerate(outcomes)

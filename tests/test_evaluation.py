@@ -243,8 +243,9 @@ class TestStratifiedSubsample:
 
         data = BinaryDataMatrix(np.random.default_rng(3).integers(0, 2, size=(40, 6)))
         monkeypatch.setattr(evaluation, "derive_rng", no_draw)
-        with pytest.raises(ValidationError, match="n_sub must be a whole number, got 20.9"):
-            stratified_subsample(data, np.arange(40) % 2, [0.5, 0.5], 20.9, seed=3)
+        for size in (20.9, float("nan"), float("inf"), None):
+            with pytest.raises(ValidationError, match=f"n_sub must be a whole number, got {size}"):
+                stratified_subsample(data, np.arange(40) % 2, [0.5, 0.5], size, seed=3)
 
     def test_largest_remainder_allocation(self):
         # 20 rows over three equal proportions: quotas 6.67 each, two +1 of
@@ -378,15 +379,6 @@ class TestRobustnessExperiment:
         with pytest.raises(KeyError):
             small_report.cell(0.15, 999)
 
-    def test_thread_schedule_independence(self):
-        kwargs = dict(datasets_per_eps=2, sample_sizes=[24], samples_per_size=2,
-                      grid=(3, 4), prior=PRIOR, seed=7, n=60, q=24)
-        serial = robustness_experiment([0.1], threads=1, **kwargs)
-        threaded = robustness_experiment([0.1], threads=4, **kwargs)
-        for a, b in zip(serial.cells, threaded.cells):
-            assert a.pair_counts == b.pair_counts
-            assert a.rates_by_g == b.rates_by_g
-
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValidationError):
             robustness_experiment([0.1], 1, [500], 1, grid=(3, 4), n=80, q=30)
@@ -417,14 +409,24 @@ class TestRobustnessExperiment:
         with pytest.raises(ValidationError, match="sample_sizes"):
             robustness_experiment([0.1], 1, [], 1, grid=(2, 2), target_pair=(2, 2), n=20, q=8)
 
+    def test_empty_epsilon_list_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a data set with no epsilon to study")
+
+        monkeypatch.setattr(evaluation, "simulate_dataset", no_simulation)
+        with pytest.raises(ValidationError, match="epsilon_list must hold at least one epsilon"):
+            robustness_experiment([], 1, [10], 1, (2, 2), target_pair=(2, 2), n=20, q=8)
+
     def test_fractional_size_rejected_before_simulating(self, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated a data set for a size that is not a whole number")
 
         monkeypatch.setattr(evaluation, "simulate_dataset", no_simulation)
-        with pytest.raises(ValidationError, match="sample size must be a whole number, got 20.9"):
-            robustness_experiment([0.1], 1, [20.9], 1, (2, 3), target_pair=(2, 3), n=40, q=18,
-                                  seed=9)
+        for size in (20.9, float("nan"), float("inf"), None):
+            with pytest.raises(ValidationError,
+                               match=f"sample size must be a whole number, got {size}"):
+                robustness_experiment([0.1], 1, [size], 1, (2, 3), target_pair=(2, 3), n=40,
+                                      q=18, seed=9)
 
     def test_repeated_epsilons_and_sizes_keep_their_cells(self):
         report = robustness_experiment([0.1, 0.1], 1, [12, 16, 12], 1, grid=(2, 2),

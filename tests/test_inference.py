@@ -196,13 +196,13 @@ def recount_every_sweep_gibbs(data, g, m, prior=PRIOR, sweeps=DEFAULT_GIBBS_SWEE
 
 
 class TestRecountSkip:
-    """A side whose labels did not move keeps its block counts, and draws
-    over 256 or more items sum their CDF row by row; neither may change a
-    single draw, so the chain must equal the oracle bit for bit."""
+    """A side whose labels did not move keeps its block counts, and every
+    draw sums its CDF one group row at a time; neither may change a single
+    draw, so the chain must equal the oracle bit for bit."""
 
     # (n, q, simulated g, simulated m, epsilon, fitted g, fitted m, prior b).
-    # 280 rows and 140 columns put the two draws on either side of the
-    # 256-item cut; b = 0.5 with 7x7 groups on 137x33 leaves empty blocks,
+    # 280 rows and 140 columns give one wide and one narrow draw per sweep;
+    # b = 0.5 with 7x7 groups on 137x33 leaves empty blocks,
     # whose Beta(b, b) draws take numpy's Johnk branch; the clean 300x260
     # staircase settles, so both sides skip their recount in most sweeps
     CASES = [
@@ -414,7 +414,7 @@ class TestSampleLabels:
 
         labels = _sample_labels(TopUniform(), self.LOGITS[:, :1])
         assert labels.tolist() == [6] == self.longhand(self.LOGITS[:, :1], np.array([top]))
-        # the same at a width whose CDF is summed row by row
+        # the same at a wider draw
         wide = np.zeros((7, 256))
         labels = _sample_labels(TopUniform(), wide)
         assert labels.tolist() == [6] * 256 == self.longhand(wide, np.full(256, top))

@@ -653,7 +653,7 @@ class TestCliDeclarations:
         # setting the library function does not declare is fit's
         params = inspect.signature(library).parameters
         chain = inspect.signature(fit).parameters
-        for dest in ("restarts", "seed", "threads", "n", "q", "t_cap", "target", "gibbs_sweeps",
+        for dest in ("restarts", "seed", "n", "q", "t_cap", "target", "gibbs_sweeps",
                      "max_iter", "tol"):
             param = params.get("target_pair" if dest == "target" else dest, chain.get(dest))
             if dest in parsed and param is not None and param.default is not param.empty:

@@ -64,18 +64,6 @@ class TestSelectModel:
         assert all(fr.icl_value <= selection.best_fit.icl_value
                    for _, _, fr in selection.grid)
 
-    def test_thread_schedule_independence(self):
-        params = staircase_parameters(2, 3, 0.15)
-        data, _ = simulate_dataset(params, 40, 16, seed=2)
-        serial = select_model(data, 3, 3, prior=PRIOR, restarts=2, seed=7, threads=1)
-        threaded = select_model(data, 3, 3, prior=PRIOR, restarts=2, seed=7, threads=4)
-        assert serial.best_pair == threaded.best_pair
-        for (g1, m1, f1), (g2, m2, f2) in zip(serial.grid, threaded.grid):
-            assert (g1, m1) == (g2, m2)
-            assert f1.icl_value == f2.icl_value
-            assert f1.free_energy == f2.free_energy
-            assert np.array_equal(f1.map_part.z, f2.map_part.z)
-
     def test_tie_breaking_prefers_parsimony(self):
         def cell(g, m, value):
             return (g, m, SimpleNamespace(icl_value=value))
@@ -188,13 +176,13 @@ class TestTuneRestarts:
         with pytest.raises(ValidationError, match="epsilon"):
             tune_restarts([0.05, 1.5], 1, target_pair=(1, 1), grid=(1, 1), t_cap=1)
 
-    def test_thread_schedule_independence(self):
-        kwargs = dict(datasets_per_eps=3, target_pair=(3, 4), grid=(4, 4),
-                      prior=PRIOR, t_cap=2, seed=21, n=50, q=20)
-        serial = tune_restarts([0.1], threads=1, **kwargs)
-        threaded = tune_restarts([0.1], threads=3, **kwargs)
-        assert serial[0].stop_t == threaded[0].stop_t
-        assert serial[0].censored == threaded[0].censored
+    def test_empty_epsilon_list_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a data set with no epsilon to study")
+
+        monkeypatch.setattr(selection, "simulate_dataset", no_simulation)
+        with pytest.raises(ValidationError, match="epsilon_list must hold at least one epsilon"):
+            tune_restarts([], 1, (2, 2), (2, 2), t_cap=1, n=20, q=8)
 
 
 class TestInterArrivals:
@@ -255,15 +243,6 @@ class TestReferenceStudy:
                 best = (sel.best_pair, sel.best_fit.icl_value)
         assert study.reference_pair == best[0]
         assert study.reference_icl == best[1]
-
-    def test_thread_schedule_independence(self):
-        params = staircase_parameters(2, 2, 0.1)
-        data, _ = simulate_dataset(params, 30, 12, seed=31)
-        serial = reference_model_study(data, (2, 2), prior=PRIOR, runs=4, seed=37, threads=1)
-        threaded = reference_model_study(data, (2, 2), prior=PRIOR, runs=4, seed=37, threads=4)
-        assert serial.selected_pairs == threaded.selected_pairs
-        assert serial.reference_pair == threaded.reference_pair
-        assert serial.occurrence_indices == threaded.occurrence_indices
 
 
 # each study driver on a single-cell grid, with its positional arguments
@@ -503,10 +482,10 @@ class TestStudyUnits:
         """(unit name, item count) of every ordered_map call, in call order."""
         calls = []
 
-        def counting(fn, items, threads=1):
+        def counting(fn, items):
             items = list(items)
             calls.append((fn.func.__name__, len(items)))
-            return parallel.ordered_map(fn, items, threads=threads)
+            return parallel.ordered_map(fn, items)
 
         monkeypatch.setattr(selection, "ordered_map", counting)
         monkeypatch.setattr(evaluation, "ordered_map", counting)
