@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import LbmError, ValidationError
+from .errors import LbmError, _whole
 from .evaluation import robustness_experiment
 from .inference import DEFAULT_GIBBS_SWEEPS, DEFAULT_MAX_ITER, DEFAULT_TOL, fit
 from .io import (
@@ -203,8 +203,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValidationError(f"threads must be >= 1, got {args.threads}")
+        _whole(getattr(args, "threads", 1), "threads")
         args.handler(args)
     except (LbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

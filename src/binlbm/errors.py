@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check on a count or seed."""
+
+import math
+import numbers
 
 
 class LbmError(Exception):
@@ -7,6 +10,20 @@ class LbmError(Exception):
 
 class ValidationError(LbmError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def _whole(value, name, least=1):
+    """``value`` as an int: a count or seed is a whole number, at least ``least``.
+
+    A whole float or a numpy integer is taken as the int it equals; anything
+    else, such as 2.5, NaN, an infinity, None or "3", is refused.
+    """
+    # NaN and the infinities are refused before int() could raise
+    if not (isinstance(value, numbers.Real) and abs(value) < math.inf and value == int(value)):
+        raise ValidationError(f"{name} must be a whole number, got {value}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")
+    return int(value)
 
 
 class MatrixParseError(LbmError, ValueError):

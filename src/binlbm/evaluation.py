@@ -11,20 +11,19 @@ groups per side, finds that minimum (see :func:`_best_surjection`).
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import ExperimentError, ValidationError
+from .errors import ExperimentError, ValidationError, _whole
 from .inference import _check_chain_settings
 from .model import (BinaryDataMatrix, _check_labels, _one_hot, simulate_dataset,
                     staircase_parameters)
 from .parallel import ordered_map
 from .rng import derive_rng, derive_seed
-from .selection import _target_in_grid, _task, select_model
+from .selection import _grid_cells, _target_in_grid, _task, select_model
 
 __all__ = [
     "MatchResult",
@@ -45,8 +44,7 @@ MAX_ATTEMPTS = 200
 
 def contingency(ref_z, est_z, g_ref, g_est):
     """Co-occurrence counts between reference and estimated row groups."""
-    if g_ref < 1 or g_est < 1:
-        raise ValidationError("group counts must be >= 1")
+    g_ref, g_est = _whole(g_ref, "g_ref"), _whole(g_est, "g_est")
     ref = _check_labels(ref_z, g_ref, "ref_z")
     est = _check_labels(est_z, g_est, "est_z")
     if ref.size != est.size:
@@ -106,10 +104,11 @@ def best_match(ref_z, est_z, g_ref, g_est):
     reference groups (and permutations); with g_est < g_ref the reference
     groups are merged symmetrically.
     """
+    counts = contingency(ref_z, est_z, g_ref, g_est)
+    g_ref, g_est = counts.shape
     if g_ref > MAX_MATCH_GROUPS or g_est > MAX_MATCH_GROUPS:
         raise ValidationError(
             f"best_match enumerates exhaustively and supports at most {MAX_MATCH_GROUPS} groups per side")
-    counts = contingency(ref_z, est_z, g_ref, g_est)
     total = int(counts.sum())
     if g_est >= g_ref:
         matched, mapping = _best_surjection(counts)
@@ -144,14 +143,6 @@ def _largest_remainder(proportions, total, capacity):
     return allocation
 
 
-def _whole_size(size, name):
-    """``size`` as an int, refused unless it is a whole number."""
-    # None, NaN and the infinities are refused before int() could raise
-    if not (isinstance(size, numbers.Real) and abs(size) < np.inf and size == int(size)):
-        raise ValidationError(f"{name} must be a whole number, got {size}")
-    return int(size)
-
-
 def stratified_subsample(data, ref_z, proportions, n_sub, seed):
     """Sample ``n_sub`` rows without replacement, allocating per reference
     group by largest-remainder rounding of ``n_sub * proportions`` (ties go
@@ -172,8 +163,8 @@ def stratified_subsample(data, ref_z, proportions, n_sub, seed):
     ref = _check_labels(ref_z, prop.size, "ref_z")
     if ref.size != data.n:
         raise ValidationError("ref_z length must equal the number of data rows")
-    n_sub = _whole_size(n_sub, "n_sub")
-    if not 1 <= n_sub <= data.n:
+    n_sub = _whole(n_sub, "n_sub")
+    if n_sub > data.n:
         raise ValidationError(f"n_sub must lie in [1, {data.n}], got {n_sub}")
     allocation = _largest_remainder(prop, n_sub, np.bincount(ref, minlength=prop.size))
     rng = derive_rng(seed)
@@ -274,7 +265,8 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     sample size draw stratified subsamples, re-run the selection on each,
     tabulate the selected pair, and score the subsample's row partition
     against the reference labels of the sampled rows with
-    :func:`best_match`.  No epsilon or sample size, a grid of more than
+    :func:`best_match`.  A count that is not a whole number >= 1,
+    no epsilon or sample size, a grid of more than
     ``MAX_MATCH_GROUPS`` row groups, an invalid epsilon, a keyword that
     :func:`fit` does not take, or a chain setting that it would refuse, is
     rejected before any simulation.  The remaining keywords (``prior``,
@@ -283,24 +275,25 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
     prefixed by its epsilon, data set, and attempt or subsample size and
     index; :class:`ExperimentError` means that no data set was accepted.
     """
-    if datasets_per_eps < 1 or samples_per_size < 1:
-        raise ValidationError("datasets_per_eps and samples_per_size must be >= 1")
-    sample_sizes = [_whole_size(s, "sample size") for s in sample_sizes]
+    datasets_per_eps = _whole(datasets_per_eps, "datasets_per_eps")
+    samples_per_size = _whole(samples_per_size, "samples_per_size")
+    n, q = _whole(n, "n"), _whole(q, "q")
+    sample_sizes = [_whole(s, "sample size") for s in sample_sizes]
     if not sample_sizes:
         raise ValidationError("sample_sizes must hold at least one size")
-    if any(s < 1 or s > n for s in sample_sizes):
+    if max(sample_sizes) > n:
         raise ValidationError(f"sample sizes must lie in [1, {n}]")
     _check_chain_settings(**fit_options)
-    g_max, m_max = grid
-    if g_max > MAX_MATCH_GROUPS:
+    grid = _grid_cells(*grid)[-1]
+    if grid[0] > MAX_MATCH_GROUPS:
         raise ValidationError(
-            f"g_max={g_max} exceeds the {MAX_MATCH_GROUPS} row groups best_match supports")
+            f"g_max={grid[0]} exceeds the {MAX_MATCH_GROUPS} row groups best_match supports")
     target = _target_in_grid(target_pair, grid)
     designs = [(float(e), staircase_parameters(*target, e)) for e in epsilon_list]
     if not designs:
         raise ValidationError("epsilon_list must hold at least one epsilon")
     keys = [(e, d) for e in range(len(designs)) for d in range(datasets_per_eps)]
-    results = ordered_map(partial(_robustness_dataset, designs, n, q, (g_max, m_max), target,
+    results = ordered_map(partial(_robustness_dataset, designs, n, q, grid, target,
                                   sample_sizes, samples_per_size, seed, fit_options), keys)
 
     tallies = {}

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _whole
 from .model import (
     CoPartition,
     LBMParameters,
@@ -208,10 +208,7 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
     block.  Returns the parameters and partition after the last sweep;
     deterministic given the seed.
     """
-    if sweeps < 1:
-        raise ValidationError("sweeps must be >= 1")
-    if g < 1 or m < 1:
-        raise ValidationError("g and m must be >= 1")
+    sweeps, g, m = _whole(sweeps, "sweeps"), _whole(g, "g"), _whole(m, "m")
     rng = derive_rng(seed)
     y = data.values.astype(float)
     # item-major one-hot labels, as in V-Bayes and the ICL, whose transposed
@@ -400,14 +397,14 @@ def _run_chain(data, g, m, prior, gibbs_sweeps, max_iter, tol, chain_seed):
 
 def _check_chain_settings(restarts=1, gibbs_sweeps=DEFAULT_GIBBS_SWEEPS,
                           max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL, prior=PriorHyperparams()):
-    """Refuse what fit refuses, binding a driver's keywords for fit as fit would."""
+    """Refuse what fit refuses, binding a driver's keywords for fit as fit would.
+    Returns ``restarts``, ``gibbs_sweeps`` and ``max_iter`` as ints."""
     # prior is here only to bind: PriorHyperparams checks itself
-    for name, value in (("restarts", restarts), ("gibbs_sweeps", gibbs_sweeps),
-                        ("max_iter", max_iter)):
-        if value < 1:
-            raise ValidationError(f"{name} must be >= 1")
+    counts = (_whole(restarts, "restarts"), _whole(gibbs_sweeps, "gibbs_sweeps"),
+              _whole(max_iter, "max_iter"))
     if not tol > 0:
         raise ValidationError("tol must be > 0")
+    return counts
 
 
 def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
@@ -428,7 +425,8 @@ def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
     also holds its fields, with the Gibbs and V-Bayes seconds, or a failed
     chain's message, as a dict in its ``chain`` attribute (see the README).
     """
-    _check_chain_settings(restarts, gibbs_sweeps, max_iter, tol)
+    restarts, gibbs_sweeps, max_iter = _check_chain_settings(
+        restarts, gibbs_sweeps, max_iter, tol)
     best = None
     best_index = -1
     chain_free_energies = []

@@ -18,7 +18,7 @@ from math import lgamma
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _whole
 from .rng import derive_rng
 
 __all__ = [
@@ -62,6 +62,11 @@ def _freeze(obj, name, arr):
     object.__setattr__(obj, name, arr)
 
 
+def _whole_groups(obj):
+    for name in ("g", "m"):
+        object.__setattr__(obj, name, _whole(getattr(obj, name), name))
+
+
 class _Frozen:
     """A container that ``pickle`` and ``copy`` rebuild through its constructor."""
 
@@ -103,8 +108,7 @@ class LBMParameters(_Frozen):
     alpha: np.ndarray
 
     def __post_init__(self):
-        if self.g < 1 or self.m < 1:
-            raise ValidationError("g and m must be >= 1")
+        _whole_groups(self)
         pi = np.asarray(self.pi, dtype=float).copy()
         rho = np.asarray(self.rho, dtype=float).copy()
         alpha = np.asarray(self.alpha, dtype=float).copy()
@@ -136,8 +140,7 @@ class CoPartition(_Frozen):
     m: int
 
     def __post_init__(self):
-        if self.g < 1 or self.m < 1:
-            raise ValidationError("g and m must be >= 1")
+        _whole_groups(self)
         for name, labels, bound in (("z", self.z, self.g), ("w", self.w, self.m)):
             _freeze(self, name, _check_labels(labels, bound, name).copy())
 
@@ -197,8 +200,7 @@ def staircase_parameters(g, m, epsilon):
     ``epsilon`` is a difficulty dial: small values give sharply contrasted
     blocks, values near 1/2 nearly erase the structure.
     """
-    if g < 1 or m < 1:
-        raise ValidationError("g and m must be >= 1")
+    g, m = _whole(g, "g"), _whole(m, "m")
     eps = float(epsilon)
     if not np.isfinite(eps) or not 0.0 < eps < 1.0:
         raise ValidationError(f"epsilon must lie strictly between 0 and 1, got {epsilon!r}")
@@ -214,8 +216,7 @@ def simulate_dataset(params, n, q, seed):
 
     The same seed reproduces the matrix and partition bit for bit.
     """
-    if n < 1 or q < 1:
-        raise ValidationError("n and q must be >= 1")
+    n, q = _whole(n, "n"), _whole(q, "q")
     rng = derive_rng(seed)
     z = rng.choice(params.g, size=n, p=params.pi)
     w = rng.choice(params.m, size=q, p=params.rho)
@@ -224,9 +225,7 @@ def simulate_dataset(params, n, q, seed):
 
 
 def _one_hot(labels, width):
-    out = np.zeros((labels.size, width))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    return np.eye(width).take(labels, axis=0)
 
 
 def _expected_counts(y, tau, nu):

@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _whole
 
 __all__ = ["derive_rng", "derive_seed"]
 
 
 def _entropy(seed, key):
-    parts = [int(seed), *(int(k) for k in key)]
-    if any(p < 0 for p in parts):
-        raise ValidationError(f"seeds and stream keys must be non-negative, got {parts}")
-    return parts
+    return [_whole(seed, "seed", least=0), *(_whole(k, "stream key", least=0) for k in key)]
 
 
 def derive_rng(seed, *key):
-    """Generator for the subtask identified by ``key`` under ``seed``."""
+    """Generator for the subtask identified by ``key`` under ``seed``, whole
+    numbers >= 0 (a whole float or numpy integer counts as its int)."""
     return np.random.default_rng(np.random.SeedSequence(_entropy(seed, key)))
 
 

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import LbmError, ValidationError
+from .errors import LbmError, ValidationError, _whole
 from .inference import FitResult, _check_chain_settings, fit
 from .model import simulate_dataset, staircase_parameters
 from .parallel import ordered_map
@@ -70,8 +70,8 @@ def _argmax_icl(grid):
 
 def _target_in_grid(target_pair, grid):
     """The target pair as ints, rejected when it lies outside the grid."""
-    target_g, target_m = int(target_pair[0]), int(target_pair[1])
-    if not (1 <= target_g <= grid[0] and 1 <= target_m <= grid[1]):
+    target_g, target_m = (_whole(count, "target pair") for count in target_pair)
+    if target_g > grid[0] or target_m > grid[1]:
         raise ValidationError(f"target pair {target_pair} lies outside the grid {grid}")
     return target_g, target_m
 
@@ -86,8 +86,8 @@ def _task(key):
 
 
 def _grid_cells(g_max, m_max):
-    if g_max < 1 or m_max < 1:
-        raise ValidationError("g_max and m_max must be >= 1")
+    """Every (g, m) of the grid in row-major order; the last is (g_max, m_max) as ints."""
+    g_max, m_max = (_whole(bound, "g_max and m_max") for bound in (g_max, m_max))
     return [(g, m) for g in range(1, g_max + 1) for m in range(1, m_max + 1)]
 
 
@@ -131,8 +131,8 @@ class TuningRecord:
     def __post_init__(self):
         if len(self.stop_t) != len(self.censored):
             raise ValidationError("stop_t and censored must have equal lengths")
-        if any(t < 1 for t in self.stop_t):
-            raise ValidationError("every recorded T must be >= 1")
+        for t in self.stop_t:
+            _whole(t, "every recorded T")
 
     def distribution(self):
         """Counts of uncensored stopping values, plus the censored tally."""
@@ -165,23 +165,21 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
     selection with T restarts, until the target pair is selected or ``t_cap``
     is reached (recorded as censored; censoring is a normal outcome).  A
     fresh data set is drawn only in the outer loop, never while T grows.
-    The epsilons (at least one), every keyword for :func:`fit` and every
-    chain setting are checked before any data set is drawn.  The remaining
+    The counts, the epsilons (at least one), every keyword for :func:`fit`
+    and every chain setting are checked before any data set is drawn.  The remaining
     keywords (``prior``, ``gibbs_sweeps``, ``max_iter``, ``tol``) go
     unchanged to :func:`fit`, with its defaults.
     """
-    if t_cap < 1:
-        raise ValidationError("t_cap must be >= 1")
-    if datasets_per_eps < 1:
-        raise ValidationError("datasets_per_eps must be >= 1")
+    t_cap, datasets_per_eps = _whole(t_cap, "t_cap"), _whole(datasets_per_eps, "datasets_per_eps")
+    n, q = _whole(n, "n"), _whole(q, "q")
     _check_chain_settings(restarts=1, **fit_options)
-    g_max, m_max = grid
+    grid = _grid_cells(*grid)[-1]
     target = _target_in_grid(target_pair, grid)
     designs = [(float(e), staircase_parameters(*target, e)) for e in epsilon_list]
     if not designs:
         raise ValidationError("epsilon_list must hold at least one epsilon")
     keys = [(e, d) for e in range(len(designs)) for d in range(datasets_per_eps)]
-    outcomes = ordered_map(partial(_tune_dataset, designs, n, q, (g_max, m_max), target, t_cap,
+    outcomes = ordered_map(partial(_tune_dataset, designs, n, q, grid, target, t_cap,
                                    seed, fit_options), keys)
     # one record per epsilon, of (stop_t, censored) over its run of data sets
     starts = range(0, len(keys), datasets_per_eps)
@@ -266,10 +264,9 @@ def reference_model_study(data, grid, *, runs=1, seed=0, **fit_options):
     ``gibbs_sweeps``, ``max_iter``, ``tol``) go unchanged to :func:`fit`,
     with its defaults, and are checked before the first run, as is the grid.
     """
-    if runs < 1:
-        raise ValidationError("runs must be >= 1")
+    runs = _whole(runs, "runs")
     _check_chain_settings(restarts=1, **fit_options)
-    _grid_cells(*grid)  # refuses an empty grid before the first run
+    grid = _grid_cells(*grid)[-1]  # refuses an empty grid before the first run
     outcomes = ordered_map(partial(_reference_run, data, grid, seed, fit_options), range(runs))
     # max keeps the earliest of equal ICLs
     reference_pair, reference_icl = max(outcomes, key=lambda outcome: outcome[1])

@@ -35,7 +35,6 @@ from binlbm.inference import (
     _run_chain,
     _safe_log,
     _sample_labels,
-    _sample_parameters,
     _softmax,
 )
 from binlbm.model import CoPartition
@@ -163,21 +162,24 @@ def accumulate_sample_labels(rng, logits):
 
 def recount_every_sweep_gibbs(data, g, m, prior=PRIOR, sweeps=DEFAULT_GIBBS_SWEEPS, seed=0):
     """``gibbs_init`` before the recount skip, kept as the oracle: both count
-    products are recomputed in every sweep, moved labels or not."""
-    if sweeps < 1:
-        raise ValidationError("sweeps must be >= 1")
-    if g < 1 or m < 1:
-        raise ValidationError("g and m must be >= 1")
+    products are recomputed in every sweep, moved labels or not.  It draws
+    the parameters with its own numpy calls, so a fault in the library's
+    parameter draw shows here too."""
     rng = derive_rng(seed)
     y = data.values.astype(float)
     row_eye, col_eye = np.eye(g), np.eye(m)
+
+    def draw_parameters(n1, row_sizes, col_sizes):
+        n0 = np.outer(row_sizes, col_sizes) - n1
+        return (rng.dirichlet(row_sizes + prior.a), rng.dirichlet(col_sizes + prior.a),
+                rng.beta(n1 + prior.b, n0 + prior.b))
+
     z = rng.integers(0, g, size=data.n)
     w = rng.integers(0, m, size=data.q)
     z_hot, w_hot = row_eye.take(z, axis=1), col_eye.take(w, axis=1)
     row_sizes, col_sizes = np.bincount(z, minlength=g), np.bincount(w, minlength=m)
     ones_by_rowgroup = z_hot @ y
-    pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
-                                        row_sizes, col_sizes, prior)
+    pi, rho, alpha = draw_parameters(ones_by_rowgroup @ w_hot.T, row_sizes, col_sizes)
     for _ in range(sweeps):
         log1, log0 = _log_rate_tables(alpha)
         ones_by_colgroup = w_hot @ y.T
@@ -190,8 +192,7 @@ def recount_every_sweep_gibbs(data, g, m, prior=PRIOR, sweeps=DEFAULT_GIBBS_SWEE
             log1.T @ ones_by_rowgroup + log0.T @ (row_sizes[:, None] - ones_by_rowgroup)))
         w_hot = col_eye.take(w, axis=1)
         col_sizes = np.bincount(w, minlength=m)
-        pi, rho, alpha = _sample_parameters(rng, ones_by_rowgroup @ w_hot.T,
-                                            row_sizes, col_sizes, prior)
+        pi, rho, alpha = draw_parameters(ones_by_rowgroup @ w_hot.T, row_sizes, col_sizes)
     return LBMParameters(g, m, pi, rho, alpha), CoPartition(z, w, g, m)
 
 
