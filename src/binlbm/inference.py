@@ -117,29 +117,32 @@ def _log_rate_tables(alpha):
     return np.log(clipped), np.log1p(-clipped)
 
 
-def _softmax(logits, axis):
-    if axis == 1:
-        # the same maxima as np.maximum.reduce (a max never rounds), a column
-        # at a time: the reduce loops over the short group axis row by row,
-        # 8-10 against 3-6 us at 137x7 and 240-350 against 6-29 us at 5000x3
-        top = logits[:, 0].copy()
-        for k in range(1, logits.shape[1]):
-            np.maximum(top, logits[:, k], out=top)
-        top = top[:, None]
-    else:
-        top = np.maximum.reduce(logits, axis=axis, keepdims=True)
-    probs = np.exp(logits - top)
-    probs /= np.add.reduce(probs, axis=axis, keepdims=True)
+def _softmax(logits):
+    """The row-wise softmax of the (items, groups) ``logits``."""
+    # the same maxima as np.maximum.reduce (a max never rounds), a column at a
+    # time: the reduce loops over the short group axis row by row, 8-10
+    # against 3-6 us at 137x7 and 240-350 against 6-29 us at 5000x3
+    top = logits[:, 0].copy()
+    for k in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, k], out=top)
+    probs = logits - top[:, None]
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
     return probs
 
 
 def _sample_labels(rng, logits):
     """One categorical draw per column of the (groups, items) ``logits``, via
     inverse CDF.  The label counts the running sums of the first g - 1 groups
-    below the uniform; the sums never decrease, so no clamp is needed."""
+    below the uniform; the sums never decrease, so no clamp is needed.
+    ``logits`` is read, never written."""
+    probs = logits - np.maximum.reduce(logits, axis=0)
+    np.exp(probs, out=probs)
     # a uniform above every sum, even one that rounding leaves above the full
-    # sum, takes the last group; at g = 1 the slice is empty and every label is 0
-    head = _softmax(logits, 0)[:-1]
+    # sum, takes the last group, so only the g - 1 head rows are normalized;
+    # at g = 1 the slice is empty and every label is 0
+    head = probs[:-1]
+    head /= np.add.reduce(probs, axis=0)
     # a running sum over whole group rows adds the terms in np.add.accumulate's
     # order, without its inner loop over the short group axis
     for k in range(1, head.shape[0]):
@@ -223,10 +226,16 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
                                         prior)
     for _ in range(sweeps):
         log1, log0 = _log_rate_tables(alpha)
-        rows = _follow_moves(rows, _sample_labels(rng, _safe_log(pi)[:, None] + (
-            log1 @ cols.ones + log0 @ cols.zeros)), y)
-        cols = _follow_moves(cols, _sample_labels(rng, _safe_log(rho)[:, None] + (
-            log1.T @ rows.ones + log0.T @ rows.zeros)), y.T)
+        # each side's logits summed in place into its first product; addition
+        # commutes, so they round as log p + (log1 @ ones + log0 @ zeros) does
+        logits = log1 @ cols.ones
+        logits += log0 @ cols.zeros
+        logits += _safe_log(pi)[:, None]
+        rows = _follow_moves(rows, _sample_labels(rng, logits), y)
+        logits = log1.T @ rows.ones
+        logits += log0.T @ rows.zeros
+        logits += _safe_log(rho)[:, None]
+        cols = _follow_moves(cols, _sample_labels(rng, logits), y.T)
         pi, rho, alpha = _sample_parameters(rng, rows.ones @ cols.hot, rows.sizes, cols.sizes,
                                             prior)
     return LBMParameters(g, m, pi, rho, alpha), CoPartition(rows.labels, cols.labels, g, m)
@@ -274,26 +283,33 @@ def _vbayes_update(y, nu, logs, prior):
     ``y`` is the float data and ``logs`` the tables of :func:`_log_tables`
     for the incoming parameters.  Returns the updated tau, nu, pi, rho and
     alpha, followed by the :func:`_expected_counts` of the new tau and nu,
-    which the free energy of the new state reads.
+    which the free energy of the new state reads.  It reads y twice: once
+    for the tau update, and once for the product ``tau.T @ y`` that both the
+    nu update and the block tallies take.
     """
     log_pi, log_rho, log1, log0 = logs
     ones_by_colgroup = y @ nu
     zeros_by_colgroup = nu.sum(axis=0)[None, :] - ones_by_colgroup
-    tau = _softmax(log_pi[None, :] + ones_by_colgroup @ log1.T + zeros_by_colgroup @ log0.T, 1)
+    tau = _softmax(log_pi[None, :] + ones_by_colgroup @ log1.T + zeros_by_colgroup @ log0.T)
 
-    ones_by_rowgroup = y.T @ tau
-    zeros_by_rowgroup = tau.sum(axis=0)[None, :] - ones_by_rowgroup
-    nu = _softmax(log_rho[None, :] + ones_by_rowgroup @ log1 + zeros_by_rowgroup @ log0, 1)
+    # the expected ones of every row group in every column: the nu update
+    # reads its transpose, which the BLAS returns with the bits of y.T @ tau,
+    # and the tallies take s1 = (tau.T @ y) @ nu, as _expected_counts does
+    rows_by_item = tau.T @ y
+    row_mass = tau.sum(axis=0)
+    ones_by_rowgroup = rows_by_item.T
+    zeros_by_rowgroup = row_mass[None, :] - ones_by_rowgroup
+    nu = _softmax(log_rho[None, :] + ones_by_rowgroup @ log1 + zeros_by_rowgroup @ log0)
 
-    counts = _expected_counts(y, tau, nu)
-    row_mass, col_mass, s1, s_tot = counts
+    col_mass = nu.sum(axis=0)
+    s1, s_tot = rows_by_item @ nu, np.outer(row_mass, col_mass)
     pi = _dirichlet_mode(row_mass, prior.a)
     rho = _dirichlet_mode(col_mass, prior.a)
     alpha = _beta_mode(s1, s_tot, prior.b)
     # no finiteness check here: no output can become infinite (softmax rows
     # and the modes stay within [0, 1]), and a NaN in any output passes every
     # clamp and product on to the free energy, which refuses it
-    return (tau, nu, pi, rho, alpha) + counts
+    return tau, nu, pi, rho, alpha, row_mass, col_mass, s1, s_tot
 
 
 def _check_state_shapes(data, state, params):

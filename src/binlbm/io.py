@@ -8,6 +8,7 @@ runs write identical bytes.
 
 from __future__ import annotations
 
+import codecs
 import json
 from collections import Counter
 from pathlib import Path
@@ -52,6 +53,11 @@ def load_matrix(path):
     it sits on.
     """
     raw = Path(path).read_bytes()
+    # a canonical headerless file decodes straight from its bytes; any other
+    # goes through the text split below
+    values = _canonical_cells(raw.removeprefix(codecs.BOM_UTF8))
+    if values is not None:
+        return BinaryDataMatrix(values)
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -69,29 +75,31 @@ def load_matrix(path):
     start = 0 if any(_is_number(t) for t in first_tokens) else 1
     if start == len(lines):
         raise MatrixParseError(f"{path}: no data rows after the header")
-    values = _canonical_cells(lines[start:])
+    values = _canonical_cells(("\n".join(lines[start:]) + "\n").encode())
     if values is None:
         values = _parse_cells(path, lines, start)
     return BinaryDataMatrix(values)
 
 
-def _canonical_cells(rows):
-    """The int8 matrix of rows that each read exactly ``[01](,[01])*``, all
-    of one width, decoded in one vectorized pass; None for any other rows.
+def _canonical_cells(buffer):
+    """The int8 matrix of the LF-terminated rows in the bytes ``buffer`` when
+    each row reads exactly ``[01](,[01])*``, all of one width, decoded in one
+    vectorized pass; None for any other bytes.
 
-    The rows joined by LF are viewed as an n x 2q byte matrix.  The rows
-    hold no LF, so the buffer holds exactly n.  With a digit at every even
-    byte and a comma at every odd byte but the last, the n LFs can only be
-    the last bytes of the n matrix rows: matrix row i is file row i, and the
-    per-cell parser would read the same values from it.
+    The buffer is viewed as an n x 2q byte matrix, 2q being the length of
+    its first row with its LF.  With a digit at every even byte, a comma at
+    every odd byte but the last and an LF at every last byte, matrix row i
+    is the i-th LF-terminated row of the buffer, and the per-cell parser
+    would read the same values from it.  Bytes that lack the final LF, or
+    hold a header, a CR or a blank line, fail one of these checks.
     """
-    buffer = np.frombuffer(("\n".join(rows) + "\n").encode(), dtype=np.uint8)
-    width = len(rows[0]) + 1
-    if buffer.size != len(rows) * width:
+    width = buffer.find(b"\n") + 1
+    if width == 0 or len(buffer) % width:
         return None
-    cells = buffer.reshape(len(rows), width)
+    cells = np.frombuffer(buffer, dtype=np.uint8).reshape(-1, width)
     digits = cells[:, 0::2] - ord("0")  # uint8: bytes below '0' wrap past 1
-    if (digits > 1).any() or (cells[:, 1:-1:2] != ord(",")).any():
+    if ((digits > 1).any() or (cells[:, 1:-1:2] != ord(",")).any()
+            or (cells[:, -1] != ord("\n")).any()):
         return None
     return digits.view(np.int8)
 
@@ -182,7 +190,7 @@ def export_reordered(data, fit_result, out_prefix):
     for label, start, end in _group_spans(part.w[col_order]):
         lines.append(f"column-group {label}: columns {start}-{end}")
     lines.append("# original row indices in reordered order (1-based)")
-    lines.append("row-order " + " ".join(str(i + 1) for i in row_order))
+    lines.append("row-order " + " ".join(map(str, (row_order + 1).tolist())))
     summary_path.write_text("\n".join(lines) + "\n")
     return str(matrix_path), str(summary_path)
 

@@ -29,15 +29,17 @@ from binlbm.inference import (
     DEFAULT_TOL,
     _beta_mode,
     _count_side,
+    _dirichlet_mode,
     _follow_moves,
     _log_rate_tables,
+    _log_tables,
     _one_hot,
     _run_chain,
     _safe_log,
     _sample_labels,
     _softmax,
 )
-from binlbm.model import CoPartition
+from binlbm.model import CoPartition, _expected_counts
 from binlbm.rng import derive_rng, derive_seed
 from oracles import free_energy_bruteforce, tau_update_oracle
 
@@ -397,8 +399,11 @@ class TestSampleLabels:
         return labels
 
     def test_matches_longhand_inverse_cdf(self):
+        before = self.LOGITS.copy()
         for seed in range(20):
             labels = _sample_labels(np.random.default_rng(seed), self.LOGITS)
+            # the draw reads the logits and never writes them
+            assert np.array_equal(self.LOGITS, before)
             u = np.random.default_rng(seed).random(self.LOGITS.shape[1])
             assert labels.tolist() == self.longhand(self.LOGITS, u)
 
@@ -453,9 +458,57 @@ class TestSoftmax:
         logits[0] = np.where(np.arange(width) % 2, -0.0, 0.0)
         logits[-1] = -np.inf
         with np.errstate(invalid="ignore"):
-            got, want = _softmax(logits, 1), self.reduce_softmax(logits)
+            got, want = _softmax(logits), self.reduce_softmax(logits)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.isnan(got[-1]).all()
+
+
+def expected_counts_vbayes_update(y, nu, logs, prior):
+    """``_vbayes_update`` as it was before the nu update and the tallies
+    shared one ``tau.T @ y``, kept as the oracle: it reads y three times,
+    taking ``y.T @ tau`` for the nu update and the tallies from
+    ``_expected_counts``.  Its softmax is TestSoftmax's reduce form, which
+    equals the library's bit for bit.  The two agree bit for bit only because
+    the BLAS returns the same bits for ``y.T @ tau`` and ``(tau.T @ y).T``."""
+    log_pi, log_rho, log1, log0 = logs
+    ones_by_colgroup = y @ nu
+    zeros_by_colgroup = nu.sum(axis=0)[None, :] - ones_by_colgroup
+    tau = TestSoftmax.reduce_softmax(
+        log_pi[None, :] + ones_by_colgroup @ log1.T + zeros_by_colgroup @ log0.T)
+
+    ones_by_rowgroup = y.T @ tau
+    zeros_by_rowgroup = tau.sum(axis=0)[None, :] - ones_by_rowgroup
+    nu = TestSoftmax.reduce_softmax(
+        log_rho[None, :] + ones_by_rowgroup @ log1 + zeros_by_rowgroup @ log0)
+
+    counts = _expected_counts(y, tau, nu)
+    row_mass, col_mass, s1, s_tot = counts
+    pi = _dirichlet_mode(row_mass, prior.a)
+    rho = _dirichlet_mode(col_mass, prior.a)
+    alpha = _beta_mode(s1, s_tot, prior.b)
+    return (tau, nu, pi, rho, alpha) + counts
+
+
+class TestVbayesUpdate:
+    @pytest.mark.parametrize("n, q, g, m", [(137, 33, 1, 1), (137, 33, 2, 3), (137, 33, 3, 4),
+                                            (137, 33, 7, 7), (600, 300, 3, 4)])
+    def test_matches_expected_counts_form(self, n, q, g, m):
+        # a soft start, so that no product is of exact integers, then the
+        # chain's own iterations
+        rng = np.random.default_rng(10 * g + m)
+        data, _ = simulate_dataset(staircase_parameters(g, m, 0.2), n, q, seed=n + q)
+        y = data.values.astype(float)
+        nu = rng.dirichlet(np.ones(m), size=q)
+        logs = _log_tables(rng.dirichlet(np.ones(g)), rng.dirichlet(np.ones(m)),
+                           rng.uniform(0.05, 0.95, size=(g, m)))
+        for _ in range(6):
+            got = inference._vbayes_update(y, nu, logs, PRIOR)
+            want = expected_counts_vbayes_update(y, nu, logs, PRIOR)
+            assert len(got) == len(want) == 9
+            for new, old in zip(got, want):
+                assert np.array_equal(new, old)
+            nu = got[1]
+            logs = _log_tables(*got[2:5])
 
 
 class TestVbayesStep:

@@ -161,6 +161,11 @@ LOAD_MATRIX_INPUTS = [
     b"0,1\r\n1,0\r\n", b"0,2\n1,0\n", b"a,b\n1,x\n", b"0,1\n1\n", b"", b"x,y\n",
     b"a,b,c\n0,1,1\n1,0,0\n", b"0,1,1\n1,0,0\n", b"caf\xe9,b\n0,1\n1,0\n",
     b"a,b\r\n0,1\r\n1,\xff\r\n", b"\xef\xbb\xbf0,1\n\n1,\xc3\n", b"0,1\r1,0\r\x85,1\r",
+    # inputs at the edge of the decode straight from the file's bytes:
+    # canonical rows without the final LF, a same-width row ending in a comma
+    # where its LF should be, a byte-order mark before canonical rows, and a
+    # one-column file (b"0,1,1\n1,0,1\n\n" above ends in one blank line)
+    b"0,1\n1,0", b"0,1\n0,1,", codecs.BOM_UTF8 + b"0,1\n1,0\n", b"0\n1\n1\n",
 ]
 
 # bytes a mutation puts into a canonical file: cell and line characters,
