@@ -242,11 +242,14 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
 
 
 def _dirichlet_mode(mass, a):
-    # mode of Dirichlet(mass + a); the a-1 shift clips at the boundary when a < 1
+    # mode of Dirichlet(mass + a); the a-1 shift clips at the boundary when a < 1.
+    # When no shifted mass is positive, every weight of the objective
+    # sum (mass + a - 1) log pi over the clamped logs is <= 0, so its maximum
+    # is the vertex at the largest mass (the first on ties), as in _beta_mode
     num = np.maximum(mass + (a - 1.0), 0.0)
     total = num.sum()
     if total <= 0.0:
-        return np.full(mass.size, 1.0 / mass.size)
+        return _one_hot(np.argmax(mass), mass.size)
     return num / total
 
 
@@ -324,8 +327,9 @@ def vbayes_step(data, state, params, prior):
     the fresh tau, then moves pi, rho, alpha to their conjugate-posterior
     modes under the updated responsibilities.  Each sub-step is an exact
     coordinate maximization of the free energy, so the free energy never
-    decreases across a step.  Responsibilities are computed in log space with
-    per-row max subtraction.
+    decreases across a step, at every prior: at a < 1 a side with too few
+    items for its groups takes the vertex at its largest mass.
+    Responsibilities are computed in log space with per-row max subtraction.
     """
     _check_state_shapes(data, state, params)
     tau, nu, pi, rho, alpha = _vbayes_update(
@@ -479,7 +483,7 @@ def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
         state=VariationalState(tau, nu),
         map_part=map_part,
         free_energy=best_fe,
-        icl_value=icl(data, map_part, g, m, prior),
+        icl_value=icl(data, map_part, prior),
         iterations=iterations,
         restart_index=best_index,
         chain_free_energies=tuple(chain_free_energies),

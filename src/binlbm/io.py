@@ -53,8 +53,8 @@ def load_matrix(path):
     it sits on.
     """
     raw = Path(path).read_bytes()
-    # a canonical headerless file decodes straight from its bytes; any other
-    # goes through the text split below
+    # a headerless file of canonical LF rows decodes straight from its bytes;
+    # any other goes through the text split and the per-cell parser below
     values = _canonical_cells(raw.removeprefix(codecs.BOM_UTF8))
     if values is not None:
         return BinaryDataMatrix(values)
@@ -75,10 +75,7 @@ def load_matrix(path):
     start = 0 if any(_is_number(t) for t in first_tokens) else 1
     if start == len(lines):
         raise MatrixParseError(f"{path}: no data rows after the header")
-    values = _canonical_cells(("\n".join(lines[start:]) + "\n").encode())
-    if values is None:
-        values = _parse_cells(path, lines, start)
-    return BinaryDataMatrix(values)
+    return BinaryDataMatrix(_parse_cells(path, lines, start))
 
 
 def _canonical_cells(buffer):

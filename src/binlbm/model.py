@@ -248,17 +248,16 @@ def block_counts(data, part):
     return BlockCounts(n1, cells - n1, row_sizes, col_sizes)
 
 
-def icl(data, part, g, m, prior):
+def icl(data, part, prior):
     """Exact integrated completed likelihood of a co-partition.
 
-    Conjugate Dirichlet(a) priors on the mixing proportions and Beta(b, b)
-    priors on the block rates integrate in closed form; the result is the log
-    of the completed-data marginal likelihood.  Finite for every valid input,
-    including partitions with empty groups.
+    The group counts g and m are the partition's own.  Conjugate Dirichlet(a)
+    priors on the mixing proportions and Beta(b, b) priors on the block rates
+    integrate in closed form; the result is the log of the completed-data
+    marginal likelihood.  Finite for every valid input, including partitions
+    with empty groups.
     """
-    if part.g != g or part.m != m:
-        raise ValidationError(
-            f"partition declares ({part.g}, {part.m}) groups, expected ({g}, {m})")
+    g, m = part.g, part.m
     counts = block_counts(data, part)
     a, b = prior.a, prior.b
     n, q = data.n, data.q

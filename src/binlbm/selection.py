@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import LbmError, ValidationError, _whole
-from .inference import FitResult, _check_chain_settings, fit
+from .inference import _check_chain_settings, fit
 from .model import simulate_dataset, staircase_parameters
 from .parallel import ordered_map
 from .rng import derive_seed
@@ -39,33 +39,31 @@ DEFAULT_T_CAP = 200
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Per-cell fits over the grid and the ICL-argmax pair.
+    """Per-cell fits over the grid, and the cell that ICL selection picks.
 
-    ``grid`` lists (g, m, FitResult) for every cell in row-major order;
-    ``best_pair`` attains the maximal recorded ICL (ties broken toward the
-    smaller g + m, then the smaller g).
+    ``grid`` lists (g, m, FitResult) for every cell in row-major order.
+    ``best_pair`` and ``best_fit`` are the (g, m) and the fit of the cell
+    with the largest ICL; ties go to the smaller g + m, then the smaller g.
     """
 
     grid: tuple
-    best_pair: tuple
-    best_fit: FitResult
 
-    def __post_init__(self):
-        top = max(entry[2].icl_value for entry in self.grid)
-        if self.best_fit.icl_value != top:
-            raise ValidationError("best_pair must attain the maximal ICL over the grid")
+    def _best_cell(self):
+        return max(self.grid, key=lambda c: (c[2].icl_value, -(c[0] + c[1]), -c[0]))
+
+    @property
+    def best_pair(self):
+        return self._best_cell()[:2]
+
+    @property
+    def best_fit(self):
+        return self._best_cell()[2]
 
     def cell(self, g, m):
         for gg, mm, fit_result in self.grid:
             if (gg, mm) == (g, m):
                 return fit_result
         raise KeyError((g, m))
-
-
-def _argmax_icl(grid):
-    # the largest ICL; on ties the smallest g + m, then the smallest g
-    g, m, fit_result = max(grid, key=lambda c: (c[2].icl_value, -(c[0] + c[1]), -c[0]))
-    return (g, m), fit_result
 
 
 def _target_in_grid(target_pair, grid):
@@ -110,9 +108,7 @@ def select_model(data, g_max, m_max, *, seed=0, **fit_options):
     pairs = _grid_cells(g_max, m_max)
     _check_chain_settings(**fit_options)
     fits = ordered_map(partial(_fit_cell, data, seed, fit_options), pairs)
-    grid = tuple((g, m, fr) for (g, m), fr in zip(pairs, fits))
-    best_pair, best_fit = _argmax_icl(grid)
-    return SelectionResult(grid=grid, best_pair=best_pair, best_fit=best_fit)
+    return SelectionResult(tuple((g, m, fr) for (g, m), fr in zip(pairs, fits)))
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ def test_criterion_01_icl_oracle_equivalence():
         a, b = priors[case % 3]
         data = BinaryDataMatrix(rng.integers(0, 2, size=(n, q)))
         part = CoPartition(rng.integers(0, g, size=n), rng.integers(0, m, size=q), g, m)
-        value = icl(data, part, g, m, PriorHyperparams(a=a, b=b))
+        value = icl(data, part, PriorHyperparams(a=a, b=b))
         expected = icl_conjugate_oracle(data.values.tolist(), part.z.tolist(),
                                         part.w.tolist(), g, m, a, b)
         worst = max(worst, abs(value - expected))
@@ -100,10 +100,10 @@ def test_criterion_01_icl_oracle_equivalence():
 def test_criterion_02_icl_closed_cases():
     single = BinaryDataMatrix(np.array([[0]]))
     part1 = CoPartition(np.array([0]), np.array([0]), 1, 1)
-    err1 = abs(icl(single, part1, 1, 1, PRIOR) - (-math.log(2)))
+    err1 = abs(icl(single, part1, PRIOR) - (-math.log(2)))
     ones = BinaryDataMatrix(np.ones((2, 2), dtype=int))
     part2 = CoPartition(np.zeros(2, dtype=int), np.zeros(2, dtype=int), 1, 1)
-    err2 = abs(icl(ones, part2, 1, 1, PRIOR) - (-math.log(5)))
+    err2 = abs(icl(ones, part2, PRIOR) - (-math.log(5)))
     report(2, err1 <= 1e-12 and err2 <= 1e-12,
            f"1x1 err {err1:.2e}, 2x2 err {err2:.2e}")
 

@@ -617,6 +617,43 @@ def test_free_energy_ascent_at_every_prior(a, b):
     assert worst_dip >= -1e-8
 
 
+def test_single_step_ascent_when_no_shifted_mass_is_positive():
+    # at a = 0.1 one row cannot fill three row groups: every mass + a - 1 of
+    # pi is <= 0, and the mode is the vertex at the largest mass
+    data = BinaryDataMatrix([[1, 0, 1]])
+    prior = PriorHyperparams(a=0.1)
+    params, part = gibbs_init(data, 3, 1, prior, sweeps=3, seed=5)
+    state = one_hot_state(part)
+    before = free_energy(data, state, params, prior)
+    state, params = vbayes_step(data, state, params, prior)
+    assert free_energy(data, state, params, prior) >= before
+    assert sorted(params.pi.tolist()) == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, 0.5])
+def test_free_energy_ascent_on_tiny_matrices(a):
+    # one or two rows and fewer than four columns for up to four groups, so
+    # many sides have fewer items than groups x (1 - a); every step counts,
+    # the first one from the Gibbs start too
+    prior = PriorHyperparams(a=a)
+    rng = np.random.default_rng(2311)
+    worst = 0.0
+    for _ in range(300):
+        n, q = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        g, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        data = BinaryDataMatrix(rng.integers(0, 2, size=(n, q)))
+        params, part = gibbs_init(data, g, m, prior, sweeps=3,
+                                  seed=int(rng.integers(0, 2**31)))
+        state = one_hot_state(part)
+        previous = free_energy(data, state, params, prior)
+        for _ in range(4):
+            state, params = vbayes_step(data, state, params, prior)
+            current = free_energy(data, state, params, prior)
+            worst = min(worst, (current - previous) / max(abs(previous), 1.0))
+            previous = current
+    assert worst >= -1e-12
+
+
 class TestFreeEnergy:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(23)

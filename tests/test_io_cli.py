@@ -2,6 +2,7 @@ import codecs
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -278,6 +279,27 @@ class TestCanonicalDecode:
         path.write_bytes(raw)
         self.assert_same_as_per_cell(path)
 
+    @staticmethod
+    def is_canonical(raw):
+        """Whether ``raw``, after any byte-order mark, is LF-terminated
+        ``[01](,[01])*`` rows of one width."""
+        rows = raw.removeprefix(codecs.BOM_UTF8).split(b"\n")
+        return (len(rows) > 1 and rows[-1] == b"" and len(set(map(len, rows[:-1]))) == 1
+                and all(re.fullmatch(rb"[01](,[01])*", row) for row in rows[:-1]))
+
+    def reaches_the_parser(self, path):
+        """Whether the per-cell reference gets past the decode, the blank tail
+        and the header to a data row."""
+        try:
+            self.per_cell_load_matrix(path)
+        except UnicodeDecodeError:
+            return False
+        except MatrixParseError as error:
+            # the refusals before any row is read (an empty file, a header
+            # alone) carry no line; every refusal of a row names its line
+            return error.line is not None
+        return True
+
     def test_fuzzed_near_canonical_files(self, tmp_path, monkeypatch):
         deferred = []
 
@@ -291,16 +313,21 @@ class TestCanonicalDecode:
         cases = 400
         for case in range(cases):
             path = tmp_path / f"f{case}.csv"
-            path.write_bytes(self.near_canonical(rng))
+            raw = self.near_canonical(rng)
+            path.write_bytes(raw)
             self.assert_same_as_per_cell(path)
-        # both paths ran, each on many files
-        assert 50 < len(deferred) < cases - 50
+            # the per-cell parser reads exactly the files with a data row that
+            # the raw-bytes decode refuses
+            expected = not self.is_canonical(raw) and self.reaches_the_parser(path)
+            assert deferred.count(path) == expected, raw
+        # both paths ran
+        assert 0 < len(deferred) < cases
 
     def test_canonical_files_skip_the_per_cell_parser(self, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError(f"{args[0]} reached the per-cell parser")
 
-        monkeypatch.setattr(lbm_io, "_parse_cells", refuse)
+        per_cell = lbm_io._parse_cells
         rng = np.random.default_rng(6)
         for q in (1, 2, 5):
             data = BinaryDataMatrix(rng.integers(0, 2, size=(7, q)))
@@ -308,10 +335,17 @@ class TestCanonicalDecode:
                 path = tmp_path / f"m{q}.csv"
                 write_matrix_csv(data, path, header=header)
                 written = path.read_bytes()
-                for raw in (written, codecs.BOM_UTF8 + written,
-                            written.replace(b"\n", b"\r\n"), written + b"\n\n"):
+                # a headerless file of LF rows, with or without a byte-order
+                # mark, never reaches the per-cell parser; the header, CRLF
+                # and blank-tail variants are checked by value
+                for raw, skips in ((written, header is None),
+                                   (codecs.BOM_UTF8 + written, header is None),
+                                   (written.replace(b"\n", b"\r\n"), False),
+                                   (written + b"\n\n", False)):
+                    monkeypatch.setattr(lbm_io, "_parse_cells", refuse if skips else per_cell)
                     path.write_bytes(raw)
                     assert np.array_equal(load_matrix(path).values, data.values)
+        monkeypatch.setattr(lbm_io, "_parse_cells", per_cell)
         params = LBMParameters(2, 2, [0.5, 0.5], [0.5, 0.5], [[0.2, 0.7], [0.6, 0.3]])
         data = BinaryDataMatrix(rng.integers(0, 2, size=(6, 4)))
         z, w = np.array([1, 0, 1, 0, 0, 1]), np.array([1, 0, 0, 1])

@@ -264,12 +264,12 @@ class TestIcl:
     def test_one_by_one_zero(self):
         data = BinaryDataMatrix(np.array([[0]]))
         part = CoPartition(np.array([0]), np.array([0]), 1, 1)
-        assert icl(data, part, 1, 1, PRIOR) == pytest.approx(-math.log(2), abs=1e-12)
+        assert icl(data, part, PRIOR) == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_two_by_two_ones(self):
         data = BinaryDataMatrix(np.ones((2, 2), dtype=int))
         part = CoPartition(np.zeros(2, dtype=int), np.zeros(2, dtype=int), 1, 1)
-        assert icl(data, part, 1, 1, PRIOR) == pytest.approx(-math.log(5), abs=1e-12)
+        assert icl(data, part, PRIOR) == pytest.approx(-math.log(5), abs=1e-12)
 
     def test_against_conjugate_oracle(self):
         rng = np.random.default_rng(21)
@@ -277,12 +277,12 @@ class TestIcl:
         part = CoPartition(rng.integers(0, 2, size=4), rng.integers(0, 2, size=3), 2, 2)
         expected = icl_conjugate_oracle(data.values.tolist(), part.z.tolist(),
                                         part.w.tolist(), 2, 2, 4.0, 1.0)
-        assert icl(data, part, 2, 2, PRIOR) == pytest.approx(expected, abs=1e-9)
+        assert icl(data, part, PRIOR) == pytest.approx(expected, abs=1e-9)
 
     def test_empty_groups_are_finite_and_exact(self):
         data = BinaryDataMatrix(np.array([[1, 0], [0, 1]]))
         part = CoPartition(np.array([0, 0]), np.array([0, 0]), 3, 2)
-        value = icl(data, part, 3, 2, PriorHyperparams(a=2.0, b=0.5))
+        value = icl(data, part, PriorHyperparams(a=2.0, b=0.5))
         expected = icl_conjugate_oracle(data.values.tolist(), part.z.tolist(),
                                         part.w.tolist(), 3, 2, 2.0, 0.5)
         assert math.isfinite(value)
@@ -318,7 +318,7 @@ class TestIcl:
                     expected += (log_gamma(2 * b) - 2 * log_gamma(b)
                                  + log_gamma(ones + b) + log_gamma(size - ones + b)
                                  - log_gamma(size + 2 * b))
-            value = icl(BinaryDataMatrix(values), CoPartition(z, w, g, m), g, m, prior)
+            value = icl(BinaryDataMatrix(values), CoPartition(z, w, g, m), prior)
             assert value == pytest.approx(expected, rel=1e-12)
         assert empty_groups > 0
 
@@ -326,33 +326,27 @@ class TestIcl:
         rng = np.random.default_rng(5)
         for _ in range(10):
             data, part, g, m = random_instance(rng)
-            base = icl(data, part, g, m, PRIOR)
+            base = icl(data, part, PRIOR)
             perm_g = rng.permutation(g)
             perm_m = rng.permutation(m)
             relabeled = CoPartition(perm_g[part.z], perm_m[part.w], g, m)
-            assert icl(data, relabeled, g, m, PRIOR) == pytest.approx(base, abs=1e-12)
+            assert icl(data, relabeled, PRIOR) == pytest.approx(base, abs=1e-12)
 
     def test_data_permutation_invariance(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             data, part, g, m = random_instance(rng)
-            base = icl(data, part, g, m, PRIOR)
+            base = icl(data, part, PRIOR)
             row_perm = rng.permutation(data.n)
             col_perm = rng.permutation(data.q)
             shuffled = BinaryDataMatrix(data.values[row_perm][:, col_perm])
             shuffled_part = CoPartition(part.z[row_perm], part.w[col_perm], g, m)
-            assert icl(shuffled, shuffled_part, g, m, PRIOR) == pytest.approx(base, abs=1e-12)
+            assert icl(shuffled, shuffled_part, PRIOR) == pytest.approx(base, abs=1e-12)
 
     def test_complement_symmetry(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             data, part, g, m = random_instance(rng)
             flipped = BinaryDataMatrix(1 - data.values)
-            assert icl(flipped, part, g, m, PRIOR) == pytest.approx(
-                icl(data, part, g, m, PRIOR), abs=1e-12)
-
-    def test_group_count_mismatch(self):
-        data = BinaryDataMatrix(np.array([[0]]))
-        part = CoPartition(np.array([0]), np.array([0]), 1, 1)
-        with pytest.raises(ValidationError):
-            icl(data, part, 2, 1, PRIOR)
+            assert icl(flipped, part, PRIOR) == pytest.approx(
+                icl(data, part, PRIOR), abs=1e-12)

@@ -10,6 +10,7 @@ from binlbm import (
     BinaryDataMatrix,
     NumericalError,
     PriorHyperparams,
+    SelectionResult,
     TuningRecord,
     ValidationError,
     icl,
@@ -24,7 +25,6 @@ from binlbm import (
 )
 from binlbm import evaluation, inference, parallel, selection
 from binlbm.io import fit_payload
-from binlbm.selection import _argmax_icl
 from binlbm.rng import derive_seed
 from oracles import INTER_ARRIVAL_GAPS
 
@@ -42,7 +42,7 @@ class TestSelectModel:
         assert all(fr.icl_value <= single.icl_value for _, _, fr in selection.grid)
         # the (1, 1) cell's ICL is partition-free and recomputable directly
         assert single.icl_value == pytest.approx(
-            icl(data, single.map_part, 1, 1, PRIOR), abs=0)
+            icl(data, single.map_part, PRIOR), abs=0)
 
     def test_staircase_easy_regime(self):
         params = staircase_parameters(3, 4, 0.05)
@@ -69,14 +69,13 @@ class TestSelectModel:
             return (g, m, SimpleNamespace(icl_value=value))
 
         grid = (cell(1, 1, -5.0), cell(1, 2, -3.0), cell(2, 1, -3.0), cell(2, 2, -3.0))
-        pair, _ = _argmax_icl(grid)
-        assert pair == (1, 2)  # smallest g + m, then smallest g
+        assert SelectionResult(grid).best_pair == (1, 2)  # smallest g + m, then smallest g
 
     def test_larger_icl_beats_parsimony(self):
         grid = tuple((g, m, SimpleNamespace(icl_value=value))
                      for g, m, value in [(1, 1, -5.0), (1, 2, -3.0), (2, 2, -2.5), (2, 1, -3.0)])
-        pair, best = _argmax_icl(grid)
-        assert pair == (2, 2) and best is grid[2][2]
+        result = SelectionResult(grid)
+        assert result.best_pair == (2, 2) and result.best_fit is grid[2][2]
 
     def test_grid_bounds_validated(self):
         data = BinaryDataMatrix(np.zeros((2, 2), dtype=int))
