@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ExperimentError, ValidationError, _whole
 from .inference import _check_chain_settings
-from .model import (BinaryDataMatrix, _check_labels, _one_hot, simulate_dataset,
-                    staircase_parameters)
+from .model import (BinaryDataMatrix, _check_labels, _one_hot, _staircase_designs,
+                    simulate_dataset)
 from .parallel import ordered_map
 from .rng import derive_rng, derive_seed
 from .selection import _grid_cells, _target_in_grid, _task, select_model
@@ -125,7 +125,10 @@ def _largest_remainder(proportions, total, capacity):
     """Largest-remainder rounding of ``total * proportions`` (ties go to the
     smaller index), capped at ``capacity``: the rows a group cannot hold go
     one at a time, in the same remainder order, to the groups with room.
-    ``capacity`` must sum to at least ``total``."""
+    ``capacity`` summing below ``total`` is refused: the rows left over would
+    never find room."""
+    if capacity.sum() < total:
+        raise ValidationError(f"capacity {capacity.sum()} is below the {total} rows to allocate")
     quota = proportions * total
     base = np.floor(quota).astype(np.int64)
     leftover = int(total - base.sum())
@@ -168,12 +171,10 @@ def stratified_subsample(data, ref_z, proportions, n_sub, seed):
         raise ValidationError(f"n_sub must lie in [1, {data.n}], got {n_sub}")
     allocation = _largest_remainder(prop, n_sub, np.bincount(ref, minlength=prop.size))
     rng = derive_rng(seed)
-    chosen = []
-    for k in range(prop.size):
-        if allocation[k] == 0:
-            continue
-        members = np.flatnonzero(ref == k)
-        chosen.append(rng.choice(members, size=allocation[k], replace=False))
+    # a group allocated no row draws nothing: numpy's choice of size 0 takes
+    # no value from the stream
+    chosen = [rng.choice(np.flatnonzero(ref == k), size=count, replace=False)
+              for k, count in enumerate(allocation)]
     rows = np.sort(np.concatenate(chosen))
     return BinaryDataMatrix(data.values[rows]), ref[rows].copy(), rows
 
@@ -289,9 +290,7 @@ def robustness_experiment(epsilon_list, datasets_per_eps, sample_sizes, samples_
         raise ValidationError(
             f"g_max={grid[0]} exceeds the {MAX_MATCH_GROUPS} row groups best_match supports")
     target = _target_in_grid(target_pair, grid)
-    designs = [(float(e), staircase_parameters(*target, e)) for e in epsilon_list]
-    if not designs:
-        raise ValidationError("epsilon_list must hold at least one epsilon")
+    designs = _staircase_designs(target, epsilon_list)
     keys = [(e, d) for e in range(len(designs)) for d in range(datasets_per_eps)]
     results = ordered_map(partial(_robustness_dataset, designs, n, q, grid, target,
                                   sample_sizes, samples_per_size, seed, fit_options), keys)

@@ -13,6 +13,7 @@ restarts are run from independent streams and the best free energy wins.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass
 from math import lgamma
@@ -107,27 +108,24 @@ class FitResult:
             raise ValidationError("map_part group counts must match the parameters")
 
 
-def _safe_log(p):
-    return np.log(np.maximum(p, _CLAMP))
-
-
 def _log_rate_tables(alpha):
     # clamp only inside the logs; stored rates may legitimately sit at 0 or 1
     clipped = np.minimum(np.maximum(alpha, _CLAMP), 1.0 - _CLAMP)
     return np.log(clipped), np.log1p(-clipped)
 
 
+def _log_tables(pi, rho, alpha):
+    # the logs one Gibbs sweep or V-Bayes iteration reads, computed once from
+    # the previous one's parameters; pi and rho are clamped inside the logs too
+    return tuple(np.log(np.maximum(p, _CLAMP)) for p in (pi, rho)) + _log_rate_tables(alpha)
+
+
 def _softmax(logits):
-    """The row-wise softmax of the (items, groups) ``logits``."""
-    # the same maxima as np.maximum.reduce (a max never rounds), a column at a
-    # time: the reduce loops over the short group axis row by row, 8-10
-    # against 3-6 us at 137x7 and 240-350 against 6-29 us at 5000x3
-    top = logits[:, 0].copy()
-    for k in range(1, logits.shape[1]):
-        np.maximum(top, logits[:, k], out=top)
-    probs = logits - top[:, None]
+    """The softmax over axis 0 of the (groups, items) ``logits``, read and
+    never written.  Each item's groups are summed in order, a group at a time."""
+    probs = logits - np.maximum.reduce(logits, axis=0)
     np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=0)
     return probs
 
 
@@ -136,13 +134,10 @@ def _sample_labels(rng, logits):
     inverse CDF.  The label counts the running sums of the first g - 1 groups
     below the uniform; the sums never decrease, so no clamp is needed.
     ``logits`` is read, never written."""
-    probs = logits - np.maximum.reduce(logits, axis=0)
-    np.exp(probs, out=probs)
     # a uniform above every sum, even one that rounding leaves above the full
-    # sum, takes the last group, so only the g - 1 head rows are normalized;
-    # at g = 1 the slice is empty and every label is 0
-    head = probs[:-1]
-    head /= np.add.reduce(probs, axis=0)
+    # sum, takes the last group, so only the g - 1 head rows are summed; at
+    # g = 1 the slice is empty and every label is 0
+    head = _softmax(logits)[:-1]
     # a running sum over whole group rows adds the terms in np.add.accumulate's
     # order, without its inner loop over the short group axis
     for k in range(1, head.shape[0]):
@@ -225,16 +220,16 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
     pi, rho, alpha = _sample_parameters(rng, rows.ones @ cols.hot, rows.sizes, cols.sizes,
                                         prior)
     for _ in range(sweeps):
-        log1, log0 = _log_rate_tables(alpha)
+        log_pi, log_rho, log1, log0 = _log_tables(pi, rho, alpha)
         # each side's logits summed in place into its first product; addition
         # commutes, so they round as log p + (log1 @ ones + log0 @ zeros) does
         logits = log1 @ cols.ones
         logits += log0 @ cols.zeros
-        logits += _safe_log(pi)[:, None]
+        logits += log_pi[:, None]
         rows = _follow_moves(rows, _sample_labels(rng, logits), y)
         logits = log1.T @ rows.ones
         logits += log0.T @ rows.zeros
-        logits += _safe_log(rho)[:, None]
+        logits += log_rho[:, None]
         cols = _follow_moves(cols, _sample_labels(rng, logits), y.T)
         pi, rho, alpha = _sample_parameters(rng, rows.ones @ cols.hot, rows.sizes, cols.sizes,
                                             prior)
@@ -275,11 +270,6 @@ def _beta_mode(s1, s_tot, b):
     return alpha
 
 
-def _log_tables(pi, rho, alpha):
-    # the logs one iteration reads, computed once from the previous one's output
-    return (_safe_log(pi), _safe_log(rho)) + _log_rate_tables(alpha)
-
-
 def _vbayes_update(y, nu, logs, prior):
     """One variational iteration on plain arrays.
 
@@ -288,21 +278,27 @@ def _vbayes_update(y, nu, logs, prior):
     alpha, followed by the :func:`_expected_counts` of the new tau and nu,
     which the free energy of the new state reads.  It reads y twice: once
     for the tau update, and once for the product ``tau.T @ y`` that both the
-    nu update and the block tallies take.
+    nu update and the block tallies take.  Both logits are built group-major
+    for :func:`_softmax`, and tau and nu come back item-major and C-ordered.
     """
     log_pi, log_rho, log1, log0 = logs
+    # the BLAS returns the same bits for a product and its transpose, so the
+    # group-major logits are the item-major ones transposed.  tau and nu are
+    # copied back item-major because the masses, the tallies and the
+    # entropies are reductions that round in memory order
     ones_by_colgroup = y @ nu
     zeros_by_colgroup = nu.sum(axis=0)[None, :] - ones_by_colgroup
-    tau = _softmax(log_pi[None, :] + ones_by_colgroup @ log1.T + zeros_by_colgroup @ log0.T)
+    tau = np.ascontiguousarray(_softmax(
+        log_pi[:, None] + log1 @ ones_by_colgroup.T + log0 @ zeros_by_colgroup.T).T)
 
     # the expected ones of every row group in every column: the nu update
-    # reads its transpose, which the BLAS returns with the bits of y.T @ tau,
-    # and the tallies take s1 = (tau.T @ y) @ nu, as _expected_counts does
+    # reads it as it is, and the tallies take s1 = (tau.T @ y) @ nu, as
+    # _expected_counts does
     rows_by_item = tau.T @ y
     row_mass = tau.sum(axis=0)
-    ones_by_rowgroup = rows_by_item.T
-    zeros_by_rowgroup = row_mass[None, :] - ones_by_rowgroup
-    nu = _softmax(log_rho[None, :] + ones_by_rowgroup @ log1 + zeros_by_rowgroup @ log0)
+    zeros_by_rowgroup = row_mass[:, None] - rows_by_item
+    nu = np.ascontiguousarray(_softmax(
+        log_rho[:, None] + log1.T @ rows_by_item + log0.T @ zeros_by_rowgroup).T)
 
     col_mass = nu.sum(axis=0)
     s1, s_tot = rows_by_item @ nu, np.outer(row_mass, col_mass)
@@ -329,7 +325,7 @@ def vbayes_step(data, state, params, prior):
     coordinate maximization of the free energy, so the free energy never
     decreases across a step, at every prior: at a < 1 a side with too few
     items for its groups takes the vertex at its largest mass.
-    Responsibilities are computed in log space with per-row max subtraction.
+    Responsibilities are computed in log space with per-item max subtraction.
     """
     _check_state_shapes(data, state, params)
     tau, nu, pi, rho, alpha = _vbayes_update(
@@ -419,11 +415,14 @@ def _check_chain_settings(restarts=1, gibbs_sweeps=DEFAULT_GIBBS_SWEEPS,
                           max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL, prior=PriorHyperparams()):
     """Refuse what fit refuses, binding a driver's keywords for fit as fit would.
     Returns ``restarts``, ``gibbs_sweeps`` and ``max_iter`` as ints."""
-    # prior is here only to bind: PriorHyperparams checks itself
     counts = (_whole(restarts, "restarts"), _whole(gibbs_sweeps, "gibbs_sweeps"),
               _whole(max_iter, "max_iter"))
-    if not tol > 0:
-        raise ValidationError("tol must be > 0")
+    # a real number only: None or "1e-6" would fail later, inside a chain
+    if not (isinstance(tol, numbers.Real) and tol > 0):
+        raise ValidationError(f"tol must be > 0, got {tol!r}")
+    # PriorHyperparams checks its own a and b
+    if not isinstance(prior, PriorHyperparams):
+        raise ValidationError(f"prior must be a PriorHyperparams, got {prior!r}")
     return counts
 
 
@@ -446,7 +445,7 @@ def fit(data, g, m, prior=PriorHyperparams(), restarts=1,
     chain's message, as a dict in its ``chain`` attribute (see the README).
     """
     restarts, gibbs_sweeps, max_iter = _check_chain_settings(
-        restarts, gibbs_sweeps, max_iter, tol)
+        restarts, gibbs_sweeps, max_iter, tol, prior)
     best = None
     best_index = -1
     chain_free_energies = []

@@ -13,8 +13,9 @@ through the constructor.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
-from math import lgamma
+from math import inf, lgamma
 
 import numpy as np
 
@@ -189,7 +190,7 @@ class PriorHyperparams:
 
     def __post_init__(self):
         for name, value in (("a", self.a), ("b", self.b)):
-            if not np.isfinite(value) or value <= 0:
+            if not (isinstance(value, numbers.Real) and 0 < value < inf):
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -201,13 +202,23 @@ def staircase_parameters(g, m, epsilon):
     blocks, values near 1/2 nearly erase the structure.
     """
     g, m = _whole(g, "g"), _whole(m, "m")
-    eps = float(epsilon)
-    if not np.isfinite(eps) or not 0.0 < eps < 1.0:
+    # a real number only: float() would take "0.1"
+    if not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon < 1.0):
         raise ValidationError(f"epsilon must lie strictly between 0 and 1, got {epsilon!r}")
+    eps = float(epsilon)
     rows = np.arange(g)[:, None]
     cols = np.arange(m)[None, :]
     alpha = np.where(rows >= cols, eps, 1.0 - eps)
     return LBMParameters(g, m, np.full(g, 1.0 / g), np.full(m, 1.0 / m), alpha)
+
+
+def _staircase_designs(target, epsilon_list):
+    """(epsilon as a float, its staircase parameters) for every epsilon of a
+    study, each epsilon checked before it is read; at least one."""
+    designs = [(staircase_parameters(*target, e), e) for e in epsilon_list]
+    if not designs:
+        raise ValidationError("epsilon_list must hold at least one epsilon")
+    return [(float(e), params) for params, e in designs]
 
 
 def simulate_dataset(params, n, q, seed):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LbmError, ValidationError, _whole
 from .inference import _check_chain_settings, fit
-from .model import simulate_dataset, staircase_parameters
+from .model import _staircase_designs, simulate_dataset
 from .parallel import ordered_map
 from .rng import derive_seed
 
@@ -171,9 +171,7 @@ def tune_restarts(epsilon_list, datasets_per_eps, target_pair, grid, *,
     _check_chain_settings(restarts=1, **fit_options)
     grid = _grid_cells(*grid)[-1]
     target = _target_in_grid(target_pair, grid)
-    designs = [(float(e), staircase_parameters(*target, e)) for e in epsilon_list]
-    if not designs:
-        raise ValidationError("epsilon_list must hold at least one epsilon")
+    designs = _staircase_designs(target, epsilon_list)
     keys = [(e, d) for e in range(len(designs)) for d in range(datasets_per_eps)]
     outcomes = ordered_map(partial(_tune_dataset, designs, n, q, grid, target, t_cap,
                                    seed, fit_options), keys)
@@ -199,11 +197,11 @@ def inter_arrivals(occurrence_indices):
     Occurrence indices are 1-based run numbers and must be strictly
     increasing; the first waiting time is the first occurrence index itself.
     """
-    idx = np.asarray(occurrence_indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size < 1:
+    if np.ndim(occurrence_indices) != 1 or np.size(occurrence_indices) < 1:
         raise ValidationError("occurrence indices must form a non-empty 1-d sequence")
-    if idx[0] < 1 or np.any(np.diff(idx) <= 0):
-        raise ValidationError("occurrence indices must be >= 1 and strictly increasing")
+    idx = np.array([_whole(i, "occurrence index") for i in occurrence_indices], dtype=np.int64)
+    if np.any(np.diff(idx) <= 0):
+        raise ValidationError("occurrence indices must be strictly increasing")
     return np.diff(idx, prepend=0)
 
 

@@ -156,3 +156,35 @@ INTER_ARRIVAL_GAPS = [
     6500, 700, 13544, 4545, 8000, 2000, 33371, 6691,
     5000, 20000, 1000, 13350, 7000, 36345, 4500, 6000,
 ]
+
+
+def log_evidence_oracle(cells, pi, rho, alpha):
+    """log p(y | theta): the complete likelihood summed over every row and
+    column labelling, by enumeration, then log-sum-exp."""
+    n = len(cells)
+    q = len(cells[0])
+    terms = []
+    for z in itertools.product(range(len(pi)), repeat=n):
+        for w in itertools.product(range(len(rho)), repeat=q):
+            total = sum(math.log(pi[k]) for k in z) + sum(math.log(rho[l]) for l in w)
+            for i in range(n):
+                for j in range(q):
+                    p = alpha[z[i]][w[j]]
+                    total += math.log(p) if cells[i][j] == 1 else math.log(1.0 - p)
+            terms.append(total)
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+def log_prior_oracle(pi, rho, alpha, a, b):
+    """log p(theta): symmetric Dirichlet(a) densities of pi and rho, and a
+    Beta(b, b) density for every block rate."""
+    total = 0.0
+    for p in (pi, rho):
+        total += (math.lgamma(len(p) * a) - len(p) * math.lgamma(a)
+                  + sum((a - 1.0) * math.log(v) for v in p))
+    for row in alpha:
+        for v in row:
+            total += (math.lgamma(2.0 * b) - 2.0 * math.lgamma(b)
+                      + (b - 1.0) * (math.log(v) + math.log(1.0 - v)))
+    return total

@@ -1,7 +1,9 @@
 """One rule for every count and seed the library takes: a whole number, as an
 int, a whole float or a numpy integer, at least its least value.  Anything
 else is refused with a ValidationError naming the parameter, before any
-work; a whole float or numpy integer gives the result of the int."""
+work; a whole float or numpy integer gives the result of the int.  The
+same holds for the prior, which must be a PriorHyperparams, and for every
+real setting (tol, a, b, epsilon), which must be a real number."""
 
 import pickle
 import re
@@ -13,16 +15,19 @@ from binlbm import (
     BinaryDataMatrix,
     CoPartition,
     LBMParameters,
+    PriorHyperparams,
     ValidationError,
     contingency,
     fit,
     gibbs_init,
+    inter_arrivals,
     reference_model_study,
     robustness_experiment,
     select_model,
     simulate_dataset,
     staircase_parameters,
     stratified_subsample,
+    summarize_inter_arrivals,
     tune_restarts,
 )
 from binlbm import evaluation, inference, model, selection
@@ -34,13 +39,14 @@ CHAIN = dict(gibbs_sweeps=2, max_iter=5, seed=1)
 HALF = [[0.5, 0.5], [0.5, 0.5]]
 
 
-def tune(*, datasets=1, t_cap=1, target=(1, 1), grid=(1, 1), n=10, q=5):
-    return tune_restarts([0.1], datasets, target, grid, t_cap=t_cap, n=n, q=q, **CHAIN)
+def tune(*, datasets=1, t_cap=1, target=(1, 1), grid=(1, 1), n=10, q=5, eps=0.1, **options):
+    return tune_restarts([eps], datasets, target, grid, t_cap=t_cap, n=n, q=q,
+                         **{**CHAIN, **options})
 
 
-def robustness(*, datasets=1, size=1, samples=1, grid=(1, 1), n=10, q=5):
-    return robustness_experiment([0.1], datasets, [size], samples, grid, target_pair=(1, 1),
-                                 n=n, q=q, **CHAIN)
+def robustness(*, datasets=1, size=1, samples=1, grid=(1, 1), n=10, q=5, eps=0.1, **options):
+    return robustness_experiment([eps], datasets, [size], samples, grid, target_pair=(1, 1),
+                                 n=n, q=q, **{**CHAIN, **options})
 
 
 # (parameter, the name its message gives, the least value it takes, a call
@@ -119,6 +125,10 @@ COUNTS = [
     ("derive_seed.key", "stream key", 0, lambda v: derive_seed(4, 1, v), None),
     ("derive_rng.seed", "seed", 0, lambda v: derive_rng(v).integers(1 << 62), None),
     ("derive_rng.key", "stream key", 0, lambda v: derive_rng(4, v).integers(1 << 62), None),
+    ("inter_arrivals.first", "occurrence index", 1, lambda v: inter_arrivals([v, 5]), None),
+    ("inter_arrivals.later", "occurrence index", 1, lambda v: inter_arrivals([1, v, 5]), None),
+    ("summarize_inter_arrivals", "occurrence index", 1,
+     lambda v: summarize_inter_arrivals([v, 5]), None),
 ]
 
 
@@ -142,3 +152,54 @@ def test_count_rule(name, message_name, least, call, work, monkeypatch):
             call(value)
     with pytest.raises(ValidationError, match=f"^{message_name} must be >= {least}$"):
         call(least - 1)
+
+
+# (parameter, a call with the parameter set to the given value, the message
+# a refused value gives, and the (module, name) of the first work the call
+# does after its checks, or None)
+SETTINGS = [
+    ("fit.prior", lambda v: fit(EYE, 2, 2, prior=v, **CHAIN),
+     "prior must be a PriorHyperparams, got {!r}", (inference, "gibbs_init")),
+    ("fit.tol", lambda v: fit(EYE, 2, 2, tol=v, **CHAIN), "tol must be > 0, got {!r}",
+     (inference, "gibbs_init")),
+    ("select_model.prior", lambda v: select_model(EYE, 2, 2, prior=v, **CHAIN),
+     "prior must be a PriorHyperparams, got {!r}", (selection, "fit")),
+    ("select_model.tol", lambda v: select_model(EYE, 2, 2, tol=v, **CHAIN),
+     "tol must be > 0, got {!r}", (selection, "fit")),
+    ("tune_restarts.prior", lambda v: tune(prior=v), "prior must be a PriorHyperparams, got {!r}",
+     (selection, "simulate_dataset")),
+    ("tune_restarts.epsilon", lambda v: tune(eps=v),
+     "epsilon must lie strictly between 0 and 1, got {!r}", (selection, "simulate_dataset")),
+    ("reference_model_study.prior",
+     lambda v: reference_model_study(EYE, (1, 1), runs=1, prior=v, **CHAIN),
+     "prior must be a PriorHyperparams, got {!r}", (selection, "select_model")),
+    ("reference_model_study.tol",
+     lambda v: reference_model_study(EYE, (1, 1), runs=1, tol=v, **CHAIN),
+     "tol must be > 0, got {!r}", (selection, "select_model")),
+    ("robustness_experiment.prior", lambda v: robustness(prior=v),
+     "prior must be a PriorHyperparams, got {!r}", (evaluation, "simulate_dataset")),
+    ("robustness_experiment.tol", lambda v: robustness(tol=v), "tol must be > 0, got {!r}",
+     (evaluation, "simulate_dataset")),
+    ("robustness_experiment.epsilon", lambda v: robustness(eps=v),
+     "epsilon must lie strictly between 0 and 1, got {!r}", (evaluation, "simulate_dataset")),
+    ("PriorHyperparams.a", lambda v: PriorHyperparams(a=v),
+     "a must be a positive finite number, got {!r}", None),
+    ("PriorHyperparams.b", lambda v: PriorHyperparams(b=v),
+     "b must be a positive finite number, got {!r}", None),
+    ("staircase_parameters.epsilon", lambda v: staircase_parameters(3, 4, v),
+     "epsilon must lie strictly between 0 and 1, got {!r}", None),
+]
+
+
+@pytest.mark.parametrize("name, call, message, work", SETTINGS,
+                         ids=[case[0] for case in SETTINGS])
+def test_setting_rule(name, call, message, work, monkeypatch):
+    if work is not None:
+        def refused_first(*args, **kwargs):
+            raise AssertionError(f"{work[1]} ran before {name} was checked")
+
+        monkeypatch.setattr(*work, refused_first)
+    # neither a string nor None is read as a number, nor any other type
+    for value in (None, "0.1", [0.1], 0.1j):
+        with pytest.raises(ValidationError, match="^" + re.escape(message.format(value)) + "$"):
+            call(value)

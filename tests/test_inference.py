@@ -35,13 +35,17 @@ from binlbm.inference import (
     _log_tables,
     _one_hot,
     _run_chain,
-    _safe_log,
     _sample_labels,
     _softmax,
 )
 from binlbm.model import CoPartition, _expected_counts
 from binlbm.rng import derive_rng, derive_seed
-from oracles import free_energy_bruteforce, tau_update_oracle
+from oracles import (
+    free_energy_bruteforce,
+    log_evidence_oracle,
+    log_prior_oracle,
+    tau_update_oracle,
+)
 
 PRIOR = PriorHyperparams()
 
@@ -185,12 +189,12 @@ def recount_every_sweep_gibbs(data, g, m, prior=PRIOR, sweeps=DEFAULT_GIBBS_SWEE
     for _ in range(sweeps):
         log1, log0 = _log_rate_tables(alpha)
         ones_by_colgroup = w_hot @ y.T
-        z = accumulate_sample_labels(rng, _safe_log(pi)[:, None] + (
+        z = accumulate_sample_labels(rng, np.log(np.maximum(pi, 1e-12))[:, None] + (
             log1 @ ones_by_colgroup + log0 @ (col_sizes[:, None] - ones_by_colgroup)))
         z_hot = row_eye.take(z, axis=1)
         row_sizes = np.bincount(z, minlength=g)
         ones_by_rowgroup = z_hot @ y
-        w = accumulate_sample_labels(rng, _safe_log(rho)[:, None] + (
+        w = accumulate_sample_labels(rng, np.log(np.maximum(rho, 1e-12))[:, None] + (
             log1.T @ ones_by_rowgroup + log0.T @ (row_sizes[:, None] - ones_by_rowgroup)))
         w_hot = col_eye.take(w, axis=1)
         col_sizes = np.bincount(w, minlength=m)
@@ -437,15 +441,26 @@ class TestSampleLabels:
 
 
 class TestSoftmax:
-    """The row max is taken a column at a time; a max never rounds, so the
-    probabilities equal the reduce form's bit for bit, NaN rows included,
-    and a NaN still reaches the free energy."""
+    """The softmax runs over axis 0 of group-major logits.  Each item's
+    groups are summed in order, so its probabilities equal those of an
+    in-order sum at every width, and the item-major reduce form's bit for bit
+    at widths 1-7, where numpy sums a short row in order too; NaN rows
+    included, so a NaN still reaches the free energy."""
 
     @staticmethod
     def reduce_softmax(logits):
         probs = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
         probs /= np.add.reduce(probs, axis=1, keepdims=True)
         return probs
+
+    @staticmethod
+    def in_order_softmax(logits):
+        # the item-major form with its row sums taken one column at a time
+        probs = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+        total = probs[:, 0].copy()
+        for k in range(1, probs.shape[1]):
+            total += probs[:, k]
+        return probs / total[:, None]
 
     @pytest.mark.parametrize("rows", [1, 33, 127, 128, 300])
     @pytest.mark.parametrize("width", range(1, 10))
@@ -457,9 +472,17 @@ class TestSoftmax:
         # rows of zeros of both signs, and a row of -inf, whose shift is NaN
         logits[0] = np.where(np.arange(width) % 2, -0.0, 0.0)
         logits[-1] = -np.inf
+        by_group = np.ascontiguousarray(logits.T)
+        before = by_group.copy()
         with np.errstate(invalid="ignore"):
-            got, want = _softmax(logits), self.reduce_softmax(logits)
+            got = _softmax(by_group).T
+            want = self.in_order_softmax(logits)
+            reduced = self.reduce_softmax(logits)
+        # the softmax reads its logits and never writes them
+        assert np.array_equal(by_group.view(np.uint64), before.view(np.uint64))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if width <= 7:
+            assert np.array_equal(got.view(np.uint64), reduced.view(np.uint64))
         assert np.isnan(got[-1]).all()
 
 
@@ -467,9 +490,11 @@ def expected_counts_vbayes_update(y, nu, logs, prior):
     """``_vbayes_update`` as it was before the nu update and the tallies
     shared one ``tau.T @ y``, kept as the oracle: it reads y three times,
     taking ``y.T @ tau`` for the nu update and the tallies from
-    ``_expected_counts``.  Its softmax is TestSoftmax's reduce form, which
-    equals the library's bit for bit.  The two agree bit for bit only because
-    the BLAS returns the same bits for ``y.T @ tau`` and ``(tau.T @ y).T``."""
+    ``_expected_counts``.  Its softmax is TestSoftmax's item-major reduce
+    form, which equals the library's group-major one bit for bit at g and m
+    up to 7.  The two agree bit for bit only because the BLAS returns the
+    same bits for a product and its transpose, such as ``y.T @ tau`` and
+    ``(tau.T @ y).T``."""
     log_pi, log_rho, log1, log0 = logs
     ones_by_colgroup = y @ nu
     zeros_by_colgroup = nu.sum(axis=0)[None, :] - ones_by_colgroup
@@ -725,6 +750,30 @@ class TestFreeEnergy:
         permuted = free_energy(BinaryDataMatrix(data.values[perm]),
                                VariationalState(tau[perm], nu), params, PRIOR)
         assert permuted == pytest.approx(base, abs=1e-10)
+
+    @pytest.mark.parametrize("a, b", [(4.0, 1.0), (1.0, 0.5), (0.5, 2.0)])
+    def test_bounded_by_exact_log_evidence(self, a, b):
+        # for fixed parameters the free energy is a lower bound on
+        # log p(y | theta) + log p(theta), both enumerated long-hand over
+        # every labelling of a 4x3 matrix; at g = m = 1 the state is certain
+        # and the two are equal
+        rng = np.random.default_rng(int(10 * a + 100 * b))
+        prior = PriorHyperparams(a=a, b=b)
+        for g, m in itertools.product((1, 2), repeat=2):
+            for _ in range(6):
+                data = BinaryDataMatrix(rng.integers(0, 2, size=(4, 3)))
+                params = LBMParameters(g, m, rng.dirichlet(np.ones(g)), rng.dirichlet(np.ones(m)),
+                                       rng.uniform(0.05, 0.95, size=(g, m)))
+                state = VariationalState(rng.dirichlet(np.ones(g), size=4),
+                                         rng.dirichlet(np.ones(m), size=3))
+                pi, rho, alpha = (params.pi.tolist(), params.rho.tolist(),
+                                  params.alpha.tolist())
+                bound = (log_evidence_oracle(data.values.tolist(), pi, rho, alpha)
+                         + log_prior_oracle(pi, rho, alpha, a, b))
+                value = free_energy(data, state, params, prior)
+                assert value <= bound + 1e-12 * abs(bound), (g, m)
+                if g == m == 1:
+                    assert abs(value - bound) <= 1e-12 * abs(bound)
 
     def test_boundary_alpha_never_crashes(self):
         data = BinaryDataMatrix(np.array([[1, 0], [0, 1]]))

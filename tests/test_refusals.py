@@ -119,6 +119,10 @@ REFUSALS = [
     pytest.param(lambda tmp: _largest_remainder(np.array([0.6, 0.6]), 10, np.array([10, 10])),
                  ValidationError, "proportions sum above 1",
                  id="largest-remainder-over-one"),
+    # without the check, the row no group has room for is sought forever
+    pytest.param(lambda tmp: _largest_remainder(np.array([0.5, 0.5]), 5, np.array([2, 2])),
+                 ValidationError, "^capacity 4 is below the 5 rows to allocate$",
+                 id="largest-remainder-short-capacity"),
 ]
 
 
