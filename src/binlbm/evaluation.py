@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ExperimentError, ValidationError, _whole
 from .inference import _check_chain_settings
-from .model import (BinaryDataMatrix, _check_labels, _one_hot, _staircase_designs,
-                    simulate_dataset)
+from .model import (BinaryDataMatrix, _check_labels, _check_probabilities, _one_hot,
+                    _staircase_designs, simulate_dataset)
 from .parallel import ordered_map
 from .rng import derive_rng, derive_seed
 from .selection import _grid_cells, _target_in_grid, _task, select_model
@@ -159,10 +159,7 @@ def stratified_subsample(data, ref_z, proportions, n_sub, seed):
     prop = np.asarray(proportions, dtype=float)
     if prop.ndim != 1 or prop.size < 1:
         raise ValidationError("proportions must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(prop)) or np.any(prop < 0.0):
-        raise ValidationError("proportions must be non-negative and finite")
-    if abs(float(prop.sum()) - 1.0) > 1e-8:
-        raise ValidationError(f"proportions must sum to 1, got {float(prop.sum())!r}")
+    _check_probabilities(prop, "proportions", 1e-8)
     ref = _check_labels(ref_z, prop.size, "ref_z")
     if ref.size != data.n:
         raise ValidationError("ref_z length must equal the number of data rows")

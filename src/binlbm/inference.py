@@ -16,7 +16,7 @@ import logging
 import numbers
 import time
 from dataclasses import dataclass
-from math import lgamma
+from math import inf, lgamma
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +26,8 @@ from .model import (
     CoPartition,
     LBMParameters,
     PriorHyperparams,
+    _check_prior,
+    _check_probabilities,
     _expected_counts,
     _Frozen,
     _freeze,
@@ -77,10 +79,7 @@ class VariationalState(_Frozen):
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
                 raise ValidationError(f"{name} must be a non-empty 2-d matrix")
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise ValidationError(f"{name} entries must lie in [0, 1]")
-            if np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-10):
-                raise ValidationError(f"each row of {name} must sum to 1 within 1e-10")
+            _check_probabilities(arr, name, 1e-10)
             _freeze(self, name, arr.copy())
 
 
@@ -207,6 +206,7 @@ def gibbs_init(data, g, m, prior=PriorHyperparams(), sweeps=DEFAULT_GIBBS_SWEEPS
     deterministic given the seed.
     """
     sweeps, g, m = _whole(sweeps, "sweeps"), _whole(g, "g"), _whole(m, "m")
+    _check_prior(prior)
     rng = derive_rng(seed)
     y = data.values.astype(float)
     # item-major one-hot labels, as in V-Bayes and the ICL, whose transposed
@@ -327,6 +327,7 @@ def vbayes_step(data, state, params, prior):
     items for its groups takes the vertex at its largest mass.
     Responsibilities are computed in log space with per-item max subtraction.
     """
+    _check_prior(prior)
     _check_state_shapes(data, state, params)
     tau, nu, pi, rho, alpha = _vbayes_update(
         data.values.astype(float), state.nu,
@@ -376,6 +377,7 @@ def free_energy(data, state, params, prior):
     every block rate.  Logs of probabilities are clamped at 1e-12 so boundary
     rates never produce non-finite output, and 0*log(0) terms are 0.
     """
+    _check_prior(prior)
     _check_state_shapes(data, state, params)
     counts = _expected_counts(data.values.astype(float), state.tau, state.nu)
     return _free_energy_value(state.tau, state.nu, counts,
@@ -417,12 +419,11 @@ def _check_chain_settings(restarts=1, gibbs_sweeps=DEFAULT_GIBBS_SWEEPS,
     Returns ``restarts``, ``gibbs_sweeps`` and ``max_iter`` as ints."""
     counts = (_whole(restarts, "restarts"), _whole(gibbs_sweeps, "gibbs_sweeps"),
               _whole(max_iter, "max_iter"))
-    # a real number only: None or "1e-6" would fail later, inside a chain
-    if not (isinstance(tol, numbers.Real) and tol > 0):
-        raise ValidationError(f"tol must be > 0, got {tol!r}")
-    # PriorHyperparams checks its own a and b
-    if not isinstance(prior, PriorHyperparams):
-        raise ValidationError(f"prior must be a PriorHyperparams, got {prior!r}")
+    # a real number only: None or "1e-6" would fail later, inside a chain,
+    # and at inf every chain would stop after its second iteration
+    if not (isinstance(tol, numbers.Real) and 0 < tol < inf):
+        raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
+    _check_prior(prior)
     return counts
 
 

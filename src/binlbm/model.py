@@ -37,14 +37,20 @@ __all__ = [
 PROB_TOL = 1e-12
 
 
-def _check_prob_vector(p, name):
-    if not np.all(np.isfinite(p)):
-        raise ValidationError(f"{name} must contain finite values")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+def _check_probabilities(p, name, tol=None):
+    """Refuse the float array ``p`` unless every entry lies in [0, 1] and, given
+    ``tol``, every vector along its last axis sums to 1 within ``tol``."""
+    # a comparison with NaN is false, so this one test also refuses NaN and the
+    # infinities
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValidationError(f"{name} entries must lie in [0, 1]")
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_TOL:
-        raise ValidationError(f"{name} must sum to 1 within {PROB_TOL}, got {total!r}")
+    if tol is not None:
+        # the message gives the sum farthest from 1
+        sums = np.atleast_1d(p.sum(axis=-1))
+        worst = float(sums[np.argmax(np.abs(sums - 1.0))])
+        if abs(worst - 1.0) > tol:
+            rows = "each row of " if p.ndim > 1 else ""
+            raise ValidationError(f"{rows}{name} must sum to 1 within {tol}, got {worst!r}")
 
 
 def _check_labels(labels, bound, name):
@@ -110,22 +116,13 @@ class LBMParameters(_Frozen):
 
     def __post_init__(self):
         _whole_groups(self)
-        pi = np.asarray(self.pi, dtype=float).copy()
-        rho = np.asarray(self.rho, dtype=float).copy()
-        alpha = np.asarray(self.alpha, dtype=float).copy()
-        if pi.shape != (self.g,):
-            raise ValidationError(f"pi must have shape ({self.g},), got {pi.shape}")
-        if rho.shape != (self.m,):
-            raise ValidationError(f"rho must have shape ({self.m},), got {rho.shape}")
-        if alpha.shape != (self.g, self.m):
-            raise ValidationError(f"alpha must have shape ({self.g}, {self.m}), got {alpha.shape}")
-        _check_prob_vector(pi, "pi")
-        _check_prob_vector(rho, "rho")
-        if not np.all(np.isfinite(alpha)) or np.any(alpha < 0.0) or np.any(alpha > 1.0):
-            raise ValidationError("alpha entries must lie in [0, 1]")
-        _freeze(self, "pi", pi)
-        _freeze(self, "rho", rho)
-        _freeze(self, "alpha", alpha)
+        for name, shape, tol in (("pi", (self.g,), PROB_TOL), ("rho", (self.m,), PROB_TOL),
+                                 ("alpha", (self.g, self.m), None)):
+            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            if arr.shape != shape:
+                raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+            _check_probabilities(arr, name, tol)
+            _freeze(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -192,6 +189,12 @@ class PriorHyperparams:
         for name, value in (("a", self.a), ("b", self.b)):
             if not (isinstance(value, numbers.Real) and 0 < value < inf):
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _check_prior(prior):
+    # PriorHyperparams checks its own a and b
+    if not isinstance(prior, PriorHyperparams):
+        raise ValidationError(f"prior must be a PriorHyperparams, got {prior!r}")
 
 
 def staircase_parameters(g, m, epsilon):
@@ -268,6 +271,7 @@ def icl(data, part, prior):
     marginal likelihood.  Finite for every valid input, including partitions
     with empty groups.
     """
+    _check_prior(prior)
     g, m = part.g, part.m
     counts = block_counts(data, part)
     a, b = prior.a, prior.b

@@ -2,8 +2,9 @@
 int, a whole float or a numpy integer, at least its least value.  Anything
 else is refused with a ValidationError naming the parameter, before any
 work; a whole float or numpy integer gives the result of the int.  The
-same holds for the prior, which must be a PriorHyperparams, and for every
-real setting (tol, a, b, epsilon), which must be a real number."""
+same holds for the prior, which every entry that reads one refuses unless it
+is a PriorHyperparams, and for every real setting (tol, a, b, epsilon), which
+must be a finite real number."""
 
 import pickle
 import re
@@ -17,9 +18,12 @@ from binlbm import (
     LBMParameters,
     PriorHyperparams,
     ValidationError,
+    VariationalState,
     contingency,
     fit,
+    free_energy,
     gibbs_init,
+    icl,
     inter_arrivals,
     reference_model_study,
     robustness_experiment,
@@ -29,6 +33,7 @@ from binlbm import (
     stratified_subsample,
     summarize_inter_arrivals,
     tune_restarts,
+    vbayes_step,
 )
 from binlbm import evaluation, inference, model, selection
 from binlbm.rng import derive_rng, derive_seed
@@ -154,31 +159,42 @@ def test_count_rule(name, message_name, least, call, work, monkeypatch):
         call(least - 1)
 
 
+TOL = "tol must be a positive finite number, got {!r}"
+PRIOR_KIND = "prior must be a PriorHyperparams, got {!r}"
+HALF_STATE = VariationalState(np.full((4, 2), 0.5), np.full((4, 2), 0.5))
+HALF_PARAMS = LBMParameters(2, 2, [0.5, 0.5], [0.5, 0.5], HALF)
+
 # (parameter, a call with the parameter set to the given value, the message
 # a refused value gives, and the (module, name) of the first work the call
 # does after its checks, or None)
 SETTINGS = [
+    ("gibbs_init.prior", lambda v: gibbs_init(EYE, 2, 2, prior=v, sweeps=2, seed=1),
+     PRIOR_KIND, (inference, "derive_rng")),
+    ("vbayes_step.prior", lambda v: vbayes_step(EYE, HALF_STATE, HALF_PARAMS, v),
+     PRIOR_KIND, (inference, "_vbayes_update")),
+    ("free_energy.prior", lambda v: free_energy(EYE, HALF_STATE, HALF_PARAMS, v),
+     PRIOR_KIND, (inference, "_expected_counts")),
+    ("icl.prior", lambda v: icl(EYE, CoPartition([0, 1, 0, 1], [1, 0, 1, 0], 2, 2), v),
+     PRIOR_KIND, (model, "block_counts")),
     ("fit.prior", lambda v: fit(EYE, 2, 2, prior=v, **CHAIN),
-     "prior must be a PriorHyperparams, got {!r}", (inference, "gibbs_init")),
-    ("fit.tol", lambda v: fit(EYE, 2, 2, tol=v, **CHAIN), "tol must be > 0, got {!r}",
-     (inference, "gibbs_init")),
+     PRIOR_KIND, (inference, "gibbs_init")),
+    ("fit.tol", lambda v: fit(EYE, 2, 2, tol=v, **CHAIN), TOL, (inference, "gibbs_init")),
     ("select_model.prior", lambda v: select_model(EYE, 2, 2, prior=v, **CHAIN),
-     "prior must be a PriorHyperparams, got {!r}", (selection, "fit")),
+     PRIOR_KIND, (selection, "fit")),
     ("select_model.tol", lambda v: select_model(EYE, 2, 2, tol=v, **CHAIN),
-     "tol must be > 0, got {!r}", (selection, "fit")),
-    ("tune_restarts.prior", lambda v: tune(prior=v), "prior must be a PriorHyperparams, got {!r}",
-     (selection, "simulate_dataset")),
+     TOL, (selection, "fit")),
+    ("tune_restarts.prior", lambda v: tune(prior=v), PRIOR_KIND, (selection, "simulate_dataset")),
     ("tune_restarts.epsilon", lambda v: tune(eps=v),
      "epsilon must lie strictly between 0 and 1, got {!r}", (selection, "simulate_dataset")),
     ("reference_model_study.prior",
      lambda v: reference_model_study(EYE, (1, 1), runs=1, prior=v, **CHAIN),
-     "prior must be a PriorHyperparams, got {!r}", (selection, "select_model")),
+     PRIOR_KIND, (selection, "select_model")),
     ("reference_model_study.tol",
      lambda v: reference_model_study(EYE, (1, 1), runs=1, tol=v, **CHAIN),
-     "tol must be > 0, got {!r}", (selection, "select_model")),
+     TOL, (selection, "select_model")),
     ("robustness_experiment.prior", lambda v: robustness(prior=v),
-     "prior must be a PriorHyperparams, got {!r}", (evaluation, "simulate_dataset")),
-    ("robustness_experiment.tol", lambda v: robustness(tol=v), "tol must be > 0, got {!r}",
+     PRIOR_KIND, (evaluation, "simulate_dataset")),
+    ("robustness_experiment.tol", lambda v: robustness(tol=v), TOL,
      (evaluation, "simulate_dataset")),
     ("robustness_experiment.epsilon", lambda v: robustness(eps=v),
      "epsilon must lie strictly between 0 and 1, got {!r}", (evaluation, "simulate_dataset")),
@@ -199,7 +215,8 @@ def test_setting_rule(name, call, message, work, monkeypatch):
             raise AssertionError(f"{work[1]} ran before {name} was checked")
 
         monkeypatch.setattr(*work, refused_first)
-    # neither a string nor None is read as a number, nor any other type
-    for value in (None, "0.1", [0.1], 0.1j):
+    # neither a string nor None is read as a number, nor any other type; and
+    # no setting takes an infinity
+    for value in (None, "0.1", [0.1], 0.1j, float("inf")):
         with pytest.raises(ValidationError, match="^" + re.escape(message.format(value)) + "$"):
             call(value)

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from binlbm.model import CoPartition, _expected_counts
 from binlbm.rng import derive_rng, derive_seed
 from oracles import (
     free_energy_bruteforce,
+    icl_conjugate_oracle,
     log_evidence_oracle,
     log_prior_oracle,
     tau_update_oracle,
@@ -92,6 +94,54 @@ class TestGibbsInit:
         data = BinaryDataMatrix(np.zeros((2, 2), dtype=int))
         with pytest.raises(ValidationError):
             gibbs_init(data, 1, 1, PRIOR, sweeps=0, seed=0)
+
+
+class TestGibbsLaw:
+    """The Gibbs sampler draws (z, w, theta) from the joint posterior, so the
+    labels of a chain that has mixed follow p(z, w | y), which is
+    proportional to exp(icl(z, w)): the exact ICL is log p(y, z, w) under the
+    conjugate priors.  On a 4x3 matrix at g = m = 2 the 128 labellings can be
+    enumerated, and the law comes from the long-hand ICL oracle, so the check
+    trusts no package code but ``gibbs_init`` (a joint distribution test in
+    the spirit of Geweke, "Getting it right", JASA 99, 2004)."""
+
+    CELLS = [[1, 1, 0], [1, 0, 0], [0, 1, 1], [0, 0, 1]]
+
+    @staticmethod
+    def chi_square_quantile(p, dof):
+        # Wilson-Hilferty: the cube root of a chi-square over its degrees of
+        # freedom is close to normal, with mean 1 - h and variance h
+        h = 2.0 / (9.0 * dof)
+        return dof * (1.0 - h + NormalDist().inv_cdf(p) * math.sqrt(h)) ** 3
+
+    @pytest.mark.parametrize("a, b, chains", [(4.0, 1.0, 3000), (1.0, 0.5, 4000)])
+    def test_final_labels_follow_the_posterior(self, a, b, chains):
+        labellings = [(z, w) for z in itertools.product((0, 1), repeat=4)
+                      for w in itertools.product((0, 1), repeat=3)]
+        log_joint = [icl_conjugate_oracle(self.CELLS, z, w, 2, 2, a, b) for z, w in labellings]
+        top = max(log_joint)
+        weights = [math.exp(value - top) for value in log_joint]
+        expected = np.array(weights) * (chains / math.fsum(weights))
+
+        index = {labels: k for k, labels in enumerate(labellings)}
+        observed = np.zeros(len(labellings))
+        data = BinaryDataMatrix(self.CELLS)
+        prior = PriorHyperparams(a=a, b=b)
+        # 10 sweeps: at 2 sweeps and b = 0.5 the chains have not yet mixed
+        for seed in range(chains):
+            part = gibbs_init(data, 2, 2, prior, sweeps=10, seed=seed)[1]
+            observed[index[tuple(part.z.tolist()), tuple(part.w.tolist())]] += 1
+
+        # the labellings expected fewer than 5 times are pooled into one bin
+        rare = expected < 5.0
+        if rare.any():
+            observed = np.append(observed[~rare], observed[rare].sum())
+            expected = np.append(expected[~rare], expected[rare].sum())
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        # the threshold comes from the chi-square law alone, never from the
+        # observed value
+        threshold = self.chi_square_quantile(0.999, expected.size - 1)
+        assert statistic < threshold, (statistic, expected.size - 1, threshold)
 
 
 class TestCountSweep:

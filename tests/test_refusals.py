@@ -51,10 +51,17 @@ REFUSALS = [
                  ValidationError, "proportions must be a non-empty 1-d vector",
                  id="subsample-2d-proportions"),
     pytest.param(lambda tmp: stratified_subsample(DATA, REF_Z, [1.5, -0.5], 2, seed=0),
-                 ValidationError, "proportions must be non-negative and finite",
+                 ValidationError, r"^proportions entries must lie in \[0, 1\]$",
                  id="subsample-negative-proportion"),
+    pytest.param(lambda tmp: stratified_subsample(DATA, REF_Z, [np.nan, 1.0], 2, seed=0),
+                 ValidationError, r"^proportions entries must lie in \[0, 1\]$",
+                 id="subsample-nan-proportion"),
+    # within the 1e-8 sum tolerance, but above 1
+    pytest.param(lambda tmp: stratified_subsample(DATA, REF_Z, [1 + 5e-9, 0.0], 2, seed=0),
+                 ValidationError, r"^proportions entries must lie in \[0, 1\]$",
+                 id="subsample-proportion-above-one"),
     pytest.param(lambda tmp: stratified_subsample(DATA, REF_Z, [0.5, 0.4], 2, seed=0),
-                 ValidationError, "proportions must sum to 1",
+                 ValidationError, r"^proportions must sum to 1 within 1e-08, got 0\.9$",
                  id="subsample-proportions-below-one"),
     pytest.param(lambda tmp: stratified_subsample(DATA, REF_Z[:3], [0.5, 0.5], 2, seed=0),
                  ValidationError, "ref_z length must equal the number of data rows",
@@ -68,8 +75,11 @@ REFUSALS = [
     pytest.param(lambda tmp: VariationalState(np.ones((2, 1)), np.array([[1.5, -0.5]])),
                  ValidationError, r"nu entries must lie in \[0, 1\]",
                  id="state-nu-out-of-range"),
+    pytest.param(lambda tmp: VariationalState(np.array([[np.nan, 1.0]]), np.ones((2, 1))),
+                 ValidationError, r"^tau entries must lie in \[0, 1\]$",
+                 id="state-tau-nan"),
     pytest.param(lambda tmp: VariationalState(np.array([[0.5, 0.4]]), np.ones((2, 1))),
-                 ValidationError, "each row of tau must sum to 1",
+                 ValidationError, r"^each row of tau must sum to 1 within 1e-10, got 0\.9$",
                  id="state-tau-row-sum"),
     pytest.param(lambda tmp: fit_result(free_energy=float("nan")),
                  ValidationError, "free_energy must be finite",
@@ -89,6 +99,16 @@ REFUSALS = [
     pytest.param(lambda tmp: LBMParameters(2, 2, [1.5, -0.5], PARAMS.rho, PARAMS.alpha),
                  ValidationError, r"pi entries must lie in \[0, 1\]",
                  id="parameters-pi-out-of-range"),
+    pytest.param(lambda tmp: LBMParameters(2, 2, [np.nan, 1.0], PARAMS.rho, PARAMS.alpha),
+                 ValidationError, r"^pi entries must lie in \[0, 1\]$",
+                 id="parameters-pi-nan"),
+    pytest.param(lambda tmp: LBMParameters(2, 2, [0.5, 0.4], PARAMS.rho, PARAMS.alpha),
+                 ValidationError, r"^pi must sum to 1 within 1e-12, got 0\.9$",
+                 id="parameters-pi-sum"),
+    pytest.param(lambda tmp: LBMParameters(2, 2, PARAMS.pi, PARAMS.rho,
+                                           [[np.inf, 0.5], [0.5, 0.5]]),
+                 ValidationError, r"^alpha entries must lie in \[0, 1\]$",
+                 id="parameters-alpha-inf"),
     pytest.param(lambda tmp: make_block_counts([[1]], [[0]], [1, 1], [1]),
                  ValidationError, "block count shapes are inconsistent",
                  id="block-counts-shapes"),

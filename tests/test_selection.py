@@ -258,7 +258,7 @@ DRIVERS = {
 @pytest.mark.parametrize("name", DRIVERS)
 def test_driver_passes_chain_settings_to_fit(name):
     driver, args, kwargs = DRIVERS[name]
-    with pytest.raises(ValidationError, match="tol must be > 0"):
+    with pytest.raises(ValidationError, match="^tol must be a positive finite number, got 0.0$"):
         driver(*args, tol=0.0, **kwargs)
     with pytest.raises(TypeError, match="bogus"):
         driver(*args, bogus=1, **kwargs)
